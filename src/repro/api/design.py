@@ -49,7 +49,12 @@ from repro.obs.trace import trace_span
 from repro.store import ResultStore
 from repro.store.fingerprint import fingerprint as _result_key
 from repro.tile.config import SMALL_TILE, TileConfig
-from repro.tile.simulator import FP16_ITERATIONS, NetworkPerf, simulate_network
+from repro.tile.simulator import (
+    FP16_ITERATIONS,
+    NetworkPerf,
+    simulate_network,
+    simulate_networks,
+)
 
 from repro.api.executor import make_executor
 from repro.api.session import (
@@ -389,26 +394,40 @@ class DesignSession:
         block on the same future, so a parallel sweep never duplicates an
         expensive simulation. Failed computations are evicted (retryable).
         """
+        return self._memoized_many(kind, [key], lambda missing: [compute()])[0]
+
+    def _memoized_many(self, kind: str, keys: list, compute) -> list:
+        """:meth:`_memoized` for several keys filled by one computation.
+
+        Futures for every missing key are registered before ``compute``
+        runs, so concurrent callers wait on this batch instead of repeating
+        it. Each missing key counts one miss, each present key one hit.
+        ``compute(missing)`` returns one value per missing key, in order;
+        if it fails, every key this call registered is evicted (retryable).
+        Returns the values in ``keys`` order.
+        """
+        owned: dict[tuple, Future] = {}
+        futures = []
         with self._lock:
-            fut = self._memo.get((kind, key))
-            if fut is None:
-                fut = Future()
-                self._memo[(kind, key)] = fut
-                owner = True
-            else:
-                owner = False
-            self.stats.note(kind, hit=not owner)
-        if not owner:
-            return fut.result()
-        try:
-            value = compute()
-        except BaseException as exc:
-            with self._lock:
-                self._memo.pop((kind, key), None)
-            fut.set_exception(exc)
-            raise
-        fut.set_result(value)
-        return value
+            for key in keys:
+                fut = self._memo.get((kind, key))
+                self.stats.note(kind, hit=fut is not None)
+                if fut is None:
+                    fut = owned[key] = self._memo[(kind, key)] = Future()
+                futures.append(fut)
+        if owned:
+            try:
+                values = compute(list(owned))
+            except BaseException as exc:
+                with self._lock:
+                    for key in owned:
+                        self._memo.pop((kind, key), None)
+                for fut in owned.values():
+                    fut.set_exception(exc)
+                raise
+            for fut, value in zip(owned.values(), values):
+                fut.set_result(value)
+        return [fut.result() for fut in futures]
 
     # -- hardware cost half ------------------------------------------------
 
@@ -472,6 +491,27 @@ class DesignSession:
         key = (layers, tile, software_precision, direction, samples, rng)
         return self._memoized("perf", key, lambda: simulate_network(
             layers, tile, software_precision, direction, samples=samples, rng=rng))
+
+    def network_perfs(
+        self, workload, tiles,
+        software_precision: int = FP32_SOFTWARE_PRECISION,
+        direction: str = "forward", samples: int = 1024, rng: int = 0,
+    ) -> list[NetworkPerf]:
+        """:meth:`network_perf` for several tiles, in ``tiles`` order.
+
+        Fills the same memo entries, but simulates every missing tile in one
+        :func:`repro.tile.simulator.simulate_networks` pass: each layer is
+        sampled once per sampling geometry instead of once per tile, with
+        results equal to one :meth:`network_perf` call per tile.
+        """
+        tiles = [parse_tile(tile) for tile in tiles]
+        layers = self._layers(workload)
+        rng = int(rng)
+        keys = [(layers, tile, software_precision, direction, samples, rng)
+                for tile in tiles]
+        return self._memoized_many("perf", keys, lambda missing: simulate_networks(
+            layers, [key[1] for key in missing], software_precision, direction,
+            samples=samples, rng=rng))
 
     def alignment_factor(
         self, tile: str | TileConfig, workloads=TABLE1_WORKLOADS,

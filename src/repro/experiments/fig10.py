@@ -10,7 +10,11 @@ NO-OPT is the 38-bit Baseline2-style tile.
 Tile costs and the alignment-cycle simulations run through a
 :class:`repro.api.DesignSession` (byte-identical outputs, session-cached
 across cold/warm runs); the Pareto search delegates to the generic
-:func:`repro.api.pareto_frontier`.
+:func:`repro.api.pareto_frontier`. For each (base tile, cluster, workload)
+the widths below the software precision are simulated in one
+:meth:`~repro.api.DesignSession.network_perfs` pass, which samples each
+layer once for all of them; the alignment factors then read the session
+memo. Widths at or above the software precision never stall (factor 1.0).
 """
 
 from __future__ import annotations
@@ -62,6 +66,12 @@ def run(samples: int = 384, rng: int = 31, tiles=(SMALL_TILE, BIG_TILE),
     with use_session(session) as session:
         points = []
         for base in tiles:
+            for c in CLUSTERS:
+                narrow = [base.with_precision(w, c) for w in PRECISIONS
+                          if w < SOFTWARE_PRECISION_FP32]
+                for name, direction in WORKLOAD_MIX:
+                    session.network_perfs(name, narrow, SOFTWARE_PRECISION_FP32,
+                                          direction, samples, rng)
             for w in PRECISIONS:
                 for c in CLUSTERS:
                     if w == BASELINE_ADDER_WIDTH and c is not None:

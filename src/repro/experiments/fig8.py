@@ -9,7 +9,12 @@ Simulations run through a :class:`repro.api.DesignSession`, whose
 value-keyed performance cache eliminates the repeated baseline simulation
 per axis point (the baseline depends on the workload only, not on the
 swept precision/cluster) — results stay byte-identical to the uncached
-path because the simulator is deterministic in its integer seed.
+path because the simulator is deterministic in its integer seed. The
+precision sweep fills all of a workload's widths with one
+:meth:`~repro.api.DesignSession.network_perfs` call: the sampled exponents
+do not depend on the adder width, so each layer is sampled once for every
+width below the software precision (the 28-bit point and the 38-bit
+baseline are never multi-cycle and need no sample).
 """
 
 from __future__ import annotations
@@ -54,13 +59,16 @@ def _layers(zoo_name: str):
     return _LAYER_CACHE[zoo_name]
 
 
+def _baseline(session, base: TileConfig, layers, direction, samples, rng):
+    return session.network_perf(layers, base, SOFTWARE_PRECISION_FP32, direction,
+                                samples=max(samples // 4, 64), rng=rng)
+
+
 def _normalized(session, tile: TileConfig, base: TileConfig, layers, direction,
                 samples, rng):
     perf = session.network_perf(layers, tile, SOFTWARE_PRECISION_FP32, direction,
                                 samples=samples, rng=rng)
-    ref = session.network_perf(layers, base, SOFTWARE_PRECISION_FP32, direction,
-                               samples=max(samples // 4, 64), rng=rng)
-    return perf.normalized_to(ref)
+    return perf.normalized_to(_baseline(session, base, layers, direction, samples, rng))
 
 
 def run_precision_sweep(samples: int = 512, rng: int = 11, session=None) -> SweepResult:
@@ -74,12 +82,11 @@ def run_precision_sweep(samples: int = 512, rng: int = 11, session=None) -> Swee
             result.values[tile.name] = {}
             for label, zoo_name, direction in WORKLOAD_SET:
                 layers = _layers(zoo_name)
-                series = [
-                    _normalized(session, tile.with_precision(w), base, layers,
-                                direction, samples, rng)
-                    for w in PRECISIONS
-                ]
-                result.values[tile.name][label] = series
+                perfs = session.network_perfs(
+                    layers, [tile.with_precision(w) for w in PRECISIONS],
+                    SOFTWARE_PRECISION_FP32, direction, samples=samples, rng=rng)
+                ref = _baseline(session, base, layers, direction, samples, rng)
+                result.values[tile.name][label] = [p.normalized_to(ref) for p in perfs]
         return result
 
 

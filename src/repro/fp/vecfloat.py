@@ -75,18 +75,21 @@ def decode_array(fmt: FPFormat, values: np.ndarray) -> DecodedArray:
     Infs/NaNs are rejected — the datapath experiments only ever see finite
     tensors, and silently decoding specials would corrupt error statistics.
     """
-    bits = float_to_bits(fmt, values).astype(np.int64)
+    # fields are extracted on the native uint16/uint32 view; only the
+    # returned exponent and magnitude are widened to int64
+    bits = float_to_bits(fmt, values)
     man_mask = (1 << fmt.man_bits) - 1
     exp_mask = (1 << fmt.exp_bits) - 1
-    sign = (bits >> (fmt.exp_bits + fmt.man_bits)) & 1
+    sign = (bits >> (fmt.exp_bits + fmt.man_bits)).astype(np.int8)
     exp = (bits >> fmt.man_bits) & exp_mask
-    man = bits & man_mask
     if np.any(exp == exp_mask):
         raise ValueError("decode_array got INF/NaN input")
     is_normal = exp != 0
-    magnitude = np.where(is_normal, man | (1 << fmt.man_bits), man)
-    unbiased = np.where(is_normal, exp - fmt.bias, fmt.min_exp)
-    return DecodedArray(fmt, sign.astype(np.int8), unbiased.astype(np.int64), magnitude.astype(np.int64))
+    # a zero/subnormal field decodes like exponent field 1: min_exp = 1 - bias
+    unbiased = np.maximum(exp, 1).astype(np.int64) - fmt.bias
+    hidden = is_normal.astype(bits.dtype) << fmt.man_bits
+    magnitude = ((bits & man_mask) | hidden).astype(np.int64)
+    return DecodedArray(fmt, sign, unbiased, magnitude)
 
 
 def quantize_array(fmt: FPFormat, values: np.ndarray) -> np.ndarray:

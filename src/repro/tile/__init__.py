@@ -10,6 +10,7 @@ from repro.tile.simulator import (
     int_mode_cycles,
     simulate_layer,
     simulate_network,
+    simulate_networks,
     step_cycle_samples,
 )
 from repro.tile.workload import (
@@ -24,7 +25,8 @@ __all__ = [
     "ClusterSimResult", "simulate_tile_queue",
     "BASELINE1", "BASELINE2", "BIG_TILE", "CLOCK_GHZ", "SMALL_TILE", "TileConfig",
     "FP16_ITERATIONS", "LayerPerf", "NetworkPerf", "expected_step_cycles",
-    "int_mode_cycles", "simulate_layer", "simulate_network", "step_cycle_samples",
+    "int_mode_cycles", "simulate_layer", "simulate_network", "simulate_networks",
+    "step_cycle_samples",
     "chunks_per_output", "exponents_from_plan", "layer_ip_ops",
     "product_exponents_from_tensors", "sample_product_exponents",
 ]

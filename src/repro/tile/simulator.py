@@ -15,11 +15,20 @@ Execution model (paper §3.2-3.3, §4.1):
 The per-layer expected step cost is estimated from sampled product
 exponents; :mod:`repro.tile.cluster` provides the finite-buffer queue
 simulation used to validate the infinite-buffer assumption.
+
+A layer's sampled exponents depend only on its seed, the sampling geometry
+``(c_unroll, effective_cluster_size)``, the sample count and the direction,
+never on the adder width: the width only changes how a fixed set of
+alignment shifts is served (Proposition 1, ``sp = w - 9``).
+:func:`simulate_networks` therefore samples each layer once per geometry
+and costs every width off that one array, and tiles whose adder tree meets
+the software precision (never multi-cycle) are not sampled at all.
+:func:`simulate_network` is the single-tile case of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +48,7 @@ __all__ = [
     "expected_step_cycles",
     "simulate_layer",
     "simulate_network",
+    "simulate_networks",
 ]
 
 FP16_ITERATIONS = 9  # nibble iterations per FP16 x FP16 inner product
@@ -121,6 +131,17 @@ def expected_step_cycles(
     return float(per_step.mean())
 
 
+def _layer_perf(layer: ConvShape, tile: TileConfig, per_iter: float) -> LayerPerf:
+    ip_ops = layer_ip_ops(layer, tile.c_unroll)
+    parallel = tile.n_tiles * tile.ipus_per_tile
+    steps = -(-ip_ops // parallel)
+    cycles = steps * FP16_ITERATIONS * per_iter
+    return LayerPerf(
+        layer=layer, ip_ops=ip_ops, steps=steps,
+        cycles_per_step=FP16_ITERATIONS * per_iter, cycles=cycles,
+    )
+
+
 def simulate_layer(
     layer: ConvShape,
     tile: TileConfig,
@@ -132,18 +153,11 @@ def simulate_layer(
     product_exps: np.ndarray | None = None,
 ) -> LayerPerf:
     """Cycle estimate for one conv layer in FP16 mode on this tile config."""
-    ip_ops = layer_ip_ops(layer, tile.c_unroll)
-    parallel = tile.n_tiles * tile.ipus_per_tile
-    steps = -(-ip_ops // parallel)
     per_iter = expected_step_cycles(
         layer, tile, software_precision, direction, samples, rng, skip_empty_cycles,
         product_exps,
     )
-    cycles = steps * FP16_ITERATIONS * per_iter
-    return LayerPerf(
-        layer=layer, ip_ops=ip_ops, steps=steps,
-        cycles_per_step=FP16_ITERATIONS * per_iter, cycles=cycles,
-    )
+    return _layer_perf(layer, tile, per_iter)
 
 
 def simulate_network(
@@ -158,16 +172,54 @@ def simulate_network(
 ) -> NetworkPerf:
     """Simulate every conv layer of a network; per-layer seeds are derived
     deterministically so results are reproducible and layer-order invariant."""
+    return replace(simulate_networks(layers, [tile], software_precision, direction,
+                                     samples, rng, skip_empty_cycles)[0], name=name)
+
+
+def simulate_networks(
+    layers: list[ConvShape],
+    tiles: list[TileConfig],
+    software_precision: int,
+    direction: str = "forward",
+    samples: int = 1024,
+    rng=None,
+    skip_empty_cycles: bool = False,
+) -> list[NetworkPerf]:
+    """:func:`simulate_network` for several tiles off one sampling pass.
+
+    Per-layer seeds are drawn once from ``rng``, exactly as for a single
+    tile, so ``simulate_networks(layers, tiles)[i]`` equals
+    ``simulate_network(layers, tiles[i])``. Each layer is sampled once per
+    sampling geometry ``(c_unroll, effective_cluster_size)`` and every tile
+    of that geometry is costed off the same array; only one layer's array is
+    held at a time. A tile with ``adder_width >= software_precision`` is
+    never multi-cycle, so it costs one cycle per iteration unsampled.
+    """
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be 'forward' or 'backward'")
     rng = as_generator(rng)
     seeds = rng.integers(0, 2**63 - 1, size=len(layers))
-    perfs = [
-        simulate_layer(
-            layer, tile, software_precision, direction, samples,
-            np.random.default_rng(seed), skip_empty_cycles,
-        )
-        for layer, seed in zip(layers, seeds)
-    ]
-    return NetworkPerf(name=name, layers=perfs)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, tile in enumerate(tiles):
+        geometry = (tile.c_unroll, tile.effective_cluster_size)  # validates the cluster
+        if tile.adder_width < software_precision:
+            groups.setdefault(geometry, []).append(i)
+    perfs: list[list[LayerPerf]] = [[] for _ in tiles]
+    for layer, seed in zip(layers, seeds):
+        for i, tile in enumerate(tiles):
+            if tile.adder_width >= software_precision:
+                perfs[i].append(_layer_perf(layer, tile, 1.0))
+        for (n_inputs, group), members in groups.items():
+            exps = sample_product_exponents(
+                layer, n_inputs, group, samples, direction=direction,
+                rng=np.random.default_rng(seed),
+            )
+            for i in members:
+                perfs[i].append(simulate_layer(
+                    layer, tiles[i], software_precision, direction, samples,
+                    skip_empty_cycles=skip_empty_cycles, product_exps=exps,
+                ))
+    return [NetworkPerf(name="", layers=layer_perfs) for layer_perfs in perfs]
 
 
 def int_mode_cycles(layers: list[ConvShape], tile: TileConfig, a_bits: int, b_bits: int) -> float:

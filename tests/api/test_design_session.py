@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -14,7 +16,9 @@ from repro.api import (
     RunSpec,
     pareto_frontier,
 )
+from repro.nn.zoo import resnet18_convs
 from repro.tile.config import SMALL_TILE
+from repro.tile.simulator import simulate_network, simulate_networks
 
 QUICK_ACCURACY = RunSpec(name="quick", sources=("laplace",), batch=400)
 
@@ -83,6 +87,120 @@ class TestCaches:
         direct = tile_cost(SMALL_TILE.with_precision(16), mode="fp")
         assert cost == direct
         assert session.tile_cost(SMALL_TILE.with_precision(16), mode="fp") is cost
+
+
+class TestBatchedPerf:
+    LAYERS = resnet18_convs()[:2]
+
+    def tiles(self, *widths):
+        return [SMALL_TILE.with_precision(w, 4) for w in widths]
+
+    def test_matches_network_perf_and_fills_its_memo(self, session):
+        tiles = self.tiles(12, 16, 38)
+        perfs = session.network_perfs(self.LAYERS, tiles, samples=16, rng=5)
+        assert session.stats.misses == {"perf": 3} and session.stats.hits == {}
+        for tile, perf in zip(tiles, perfs):
+            assert session.network_perf(self.LAYERS, tile, samples=16, rng=5) is perf
+            assert perf == simulate_network(self.LAYERS, tile, 28, samples=16, rng=5)
+        assert session.stats.hits == {"perf": 3}
+
+    def test_one_hit_per_present_key_and_one_miss_per_computed_key(self, session):
+        session.network_perfs(self.LAYERS, self.tiles(12, 16), samples=16, rng=5)
+        session.network_perfs(self.LAYERS, self.tiles(16, 20, 12), samples=16, rng=5)
+        assert session.stats.misses == {"perf": 3}
+        assert session.stats.hits == {"perf": 2}
+
+    def test_overlapping_concurrent_batches_simulate_each_tile_once(
+            self, session, monkeypatch):
+        from repro.api import design
+
+        calls = []
+        a_computing, b_computed = threading.Event(), threading.Event()
+
+        def simulate(layers, tiles, *args, **kwargs):
+            calls.append([t.adder_width for t in tiles])
+            if len(calls) == 1:  # batch A holds its keys until B has run
+                a_computing.set()
+                assert b_computed.wait(10)
+            else:
+                b_computed.set()
+            return simulate_networks(layers, tiles, *args, **kwargs)
+
+        monkeypatch.setattr(design, "simulate_networks", simulate)
+        out = {}
+
+        def fill(name, widths):
+            out[name] = session.network_perfs(self.LAYERS, self.tiles(*widths),
+                                              samples=16, rng=5)
+
+        a = threading.Thread(target=fill, args=("a", (12, 16, 20)))
+        a.start()
+        assert a_computing.wait(10)
+        b = threading.Thread(target=fill, args=("b", (16, 20, 24)))
+        b.start()
+        a.join(10)
+        b.join(10)
+        assert not a.is_alive() and not b.is_alive()
+        assert calls == [[12, 16, 20], [24]]
+        assert out["a"][1:] == out["b"][:2]
+        assert out["a"][1] is out["b"][0]
+        assert session.stats.misses == {"perf": 4}
+        assert session.stats.hits == {"perf": 2}
+
+    def test_many_threads_share_each_simulation(self, session, monkeypatch):
+        from repro.api import design
+
+        simulated = []
+
+        def simulate(layers, tiles, *args, **kwargs):
+            simulated.extend(t.adder_width for t in tiles)
+            return simulate_networks(layers, tiles, *args, **kwargs)
+
+        monkeypatch.setattr(design, "simulate_networks", simulate)
+        batches = [(12 + i % 5, 16 + i % 3, 20 + i % 7, 13 + i % 2) for i in range(16)]
+        results = [None] * len(batches)
+
+        def fill(i):
+            results[i] = session.network_perfs(self.LAYERS[:1], self.tiles(*batches[i]),
+                                               samples=4, rng=1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(i,)) for i in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        distinct = {w for batch in batches for w in batch}
+        assert sorted(simulated) == sorted(distinct)  # each key simulated once
+        assert session.stats.misses == {"perf": len(distinct)}
+        assert session.stats.hits == {"perf": 4 * len(batches) - len(distinct)}
+        for batch, perfs in zip(batches, results):
+            for width, perf in zip(batch, perfs):
+                assert perf is session.network_perf(
+                    self.LAYERS[:1], self.tiles(width)[0], samples=4, rng=1)
+
+    def test_failure_evicts_every_key_of_the_batch(self, session, monkeypatch):
+        from repro.api import design
+
+        kept = session.network_perf(self.LAYERS, self.tiles(12)[0], samples=16, rng=5)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(design, "simulate_networks", broken)
+        with pytest.raises(RuntimeError, match="injected"):
+            session.network_perfs(self.LAYERS, self.tiles(12, 16, 20), samples=16, rng=5)
+        monkeypatch.undo()
+        misses = session.stats.misses["perf"]
+        perfs = session.network_perfs(self.LAYERS, self.tiles(12, 16, 20),
+                                      samples=16, rng=5)
+        assert perfs[0] is kept  # present before the batch: never evicted
+        assert session.stats.misses["perf"] == misses + 2  # both retried
 
 
 class TestEvaluate:

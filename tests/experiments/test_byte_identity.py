@@ -2,16 +2,17 @@
 
 The golden files under ``golden/`` were rendered by the pre-DesignSession
 implementations (direct ``tile_cost``/``simulate_network``/
-``design_efficiency`` calls) at reduced sample counts. The rewired drivers
-must reproduce them byte for byte: the session only adds caching, never
-changes a number.
+``design_efficiency`` calls) at reduced sample counts; ``fig10_big.txt``
+was rendered by the per-tile simulator before batched sampling. The
+rewired drivers must reproduce them byte for byte: the session and the
+batched simulator only remove repeated work, never change a number.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.tile.config import SMALL_TILE
+from repro.tile.config import BIG_TILE, SMALL_TILE
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -64,3 +65,10 @@ def test_fig10_render_byte_identical():
 
     out = fig10.render(fig10.run(samples=48, rng=4, tiles=(SMALL_TILE,)))
     assert out + "\n" == golden_text("fig10.txt")
+
+
+def test_fig10_big_tile_render_byte_identical():
+    from repro.experiments import fig10
+
+    out = fig10.render(fig10.run(samples=48, rng=4, tiles=(BIG_TILE,)))
+    assert out + "\n" == golden_text("fig10_big.txt")

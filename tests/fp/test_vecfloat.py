@@ -53,6 +53,41 @@ class TestDecodeArray:
         assert len(decode_array(FP16, np.zeros(7))) == 7
 
 
+def _assert_matches_scalar(fmt, bits):
+    """decode_array on the values of ``bits`` equals FPFormat.decode per element."""
+    dec = decode_array(fmt, bits_to_float(fmt, bits))
+    golden = [fmt.decode(int(b)) for b in bits]
+    assert dec.sign.dtype == np.int8
+    assert dec.unbiased_exp.dtype == np.int64
+    assert dec.magnitude.dtype == np.int64
+    assert dec.sign.tolist() == [d.sign for d in golden]
+    assert dec.unbiased_exp.tolist() == [d.unbiased_exp for d in golden]
+    assert dec.magnitude.tolist() == [d.magnitude for d in golden]
+
+
+class TestDecodeArrayDifferential:
+    def test_every_finite_fp16_pattern(self):
+        bits = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
+        bits = bits[(bits >> 10) & 0x1F != 0x1F]
+        assert bits.size == 63488
+        _assert_matches_scalar(FP16, bits)
+
+    def test_random_fp32_with_subnormals_and_zeros(self):
+        rng = np.random.default_rng(12)
+        anything = rng.integers(0, 1 << 32, size=20000, dtype=np.uint64).astype(np.uint32)
+        anything = anything[(anything >> 23) & 0xFF != 0xFF]
+        sign = rng.integers(0, 2, size=2000, dtype=np.uint32) << 31
+        subnormal = sign | rng.integers(1, 1 << 23, size=2000, dtype=np.uint32)
+        zeros = np.array([0, 1 << 31], dtype=np.uint32)
+        _assert_matches_scalar(FP32, np.concatenate([anything, subnormal, zeros]))
+
+    @pytest.mark.parametrize("fmt", [FP16, FP32])
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+    def test_specials_still_raise(self, fmt, special):
+        with pytest.raises(ValueError, match="INF/NaN"):
+            decode_array(fmt, np.array([1.0, special]))
+
+
 class TestCPUReferences:
     def test_scalar_vs_batch_agree(self):
         rng = np.random.default_rng(1)

@@ -1,18 +1,23 @@
 """Statistical cycle simulator: accounting laws and paper-shape checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.nn.zoo import ConvShape, resnet18_convs
 from repro.tile.config import BIG_TILE, SMALL_TILE
+from repro.tile import simulator
 from repro.tile.simulator import (
     FP16_ITERATIONS,
     int_mode_cycles,
     simulate_layer,
     simulate_network,
+    simulate_networks,
     step_cycle_samples,
 )
-from repro.tile.workload import chunks_per_output, layer_ip_ops
+from repro.tile.tile import simulate_layer_queued
+from repro.tile.workload import chunks_per_output, layer_ip_ops, sample_product_exponents
 
 LAYER = ConvShape("test", c_in=64, c_out=64, kh=3, kw=3, stride=1,
                   pad_h=1, pad_w=1, h=28, w=28)
@@ -112,6 +117,81 @@ class TestNetworkSimulation:
         big_base = simulate_network(layers, BIG_TILE.with_precision(38), 16,
                                     samples=96, rng=7)
         assert small.normalized_to(small_base) < big.normalized_to(big_base)
+
+
+@pytest.fixture()
+def sample_calls(monkeypatch):
+    """Record the (n_inputs, group) of every exponent sampling pass."""
+    calls = []
+
+    def counting(layer, n_inputs, group, *args, **kwargs):
+        calls.append((n_inputs, group))
+        return sample_product_exponents(layer, n_inputs, group, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "sample_product_exponents", counting)
+    return calls
+
+
+class TestBatchedNetworkSimulation:
+    LAYERS = resnet18_convs()[3:6]
+    WIDTHS = (12, 13, 16, 20, 24, 27, 28, 32, 38)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("skip_empty_cycles", [False, True])
+    def test_equals_one_simulation_per_tile(self, direction, skip_empty_cycles):
+        tiles = [SMALL_TILE.with_precision(w, c)
+                 for c in (1, 4, None) for w in self.WIDTHS]
+        kwargs = dict(direction=direction, samples=24, rng=9,
+                      skip_empty_cycles=skip_empty_cycles)
+        batched = simulate_networks(self.LAYERS, tiles, 28, **kwargs)
+        assert batched == [simulate_network(self.LAYERS, t, 28, **kwargs) for t in tiles]
+
+    def test_mixed_geometries_sample_once_per_layer_and_geometry(self, sample_calls):
+        tiles = [BIG_TILE.with_precision(12, 4), SMALL_TILE.with_precision(16),
+                 BIG_TILE.with_precision(38), SMALL_TILE.with_precision(12, 4),
+                 BIG_TILE.with_precision(20, 4), SMALL_TILE.with_precision(20)]
+        batched = simulate_networks(self.LAYERS, tiles, 28, samples=16, rng=3)
+        per_layer = len(self.LAYERS)
+        assert Counter(sample_calls) == {(16, 4): per_layer, (8, 32): per_layer,
+                                         (8, 4): per_layer}
+        sample_calls.clear()
+        single = [simulate_network(self.LAYERS, t, 28, samples=16, rng=3) for t in tiles]
+        assert batched == single
+        assert len(sample_calls) == 5 * per_layer  # the wide tile never samples
+
+    def test_wide_tiles_are_never_sampled(self, sample_calls):
+        tiles = [SMALL_TILE.with_precision(28), SMALL_TILE.with_precision(38, 4),
+                 BIG_TILE.with_precision(38)]
+        perfs = simulate_networks(self.LAYERS, tiles, 28, samples=16, rng=4)
+        assert sample_calls == []
+        for tile, perf in zip(tiles, perfs):
+            for lp in perf.layers:
+                assert lp.cycles_per_step == FP16_ITERATIONS
+                assert lp.cycles == lp.steps * FP16_ITERATIONS
+
+    def test_wide_tile_still_validates_its_arguments(self):
+        with pytest.raises(ValueError):
+            simulate_networks(self.LAYERS, [SMALL_TILE.with_precision(38, 64)], 28)
+        with pytest.raises(ValueError):
+            simulate_networks(self.LAYERS, [SMALL_TILE.with_precision(38)], 28,
+                              direction="sideways")
+
+    def test_network_name_is_kept(self):
+        perf = simulate_network(self.LAYERS, SMALL_TILE, 28, samples=8, rng=0, name="r18")
+        assert perf.name == "r18"
+
+    def test_queued_wide_tile_still_draws_from_the_shared_generator(self):
+        """simulate_layer_queued hands one Generator to simulate_layer and
+        then samples again from it: a wide tile must still consume the
+        decoupled pass's draws there, or the queue pass would change."""
+        tile = SMALL_TILE.with_precision(38, 4)
+        rng = np.random.default_rng(5)
+        queued = simulate_layer_queued(LAYER, tile, 28, max_steps=40, rng=rng)
+        ref = np.random.default_rng(5)
+        sample_product_exponents(LAYER, 8, 4, 40, rng=ref)  # decoupled pass
+        sample_product_exponents(LAYER, 8, 4, 40 * 8, rng=ref)  # 40 steps x 8 clusters
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+        assert queued.decoupled.cycles == queued.decoupled.steps * FP16_ITERATIONS
 
 
 class TestIntMode:
