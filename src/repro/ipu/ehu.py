@@ -19,6 +19,12 @@ computed once and reused (this is why its area is amortized, §4.2).
 Both a scalar object model (golden, used by the bit-accurate IPU) and
 vectorized NumPy kernels (used by the statistical tile simulator and the
 Figure-3 sweeps) are provided and cross-checked in the tests.
+
+Stage 5's serve cycle never decreases as the shift grows, so the
+sequential schedule's length is set by the worst unmasked shift alone
+(:func:`worst_shift`), which does not depend on the adder width. Only the
+``skip_empty_cycles`` ablation, which counts occupied partitions, looks at
+every lane.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AlignmentPlan", "ExponentHandlingUnit", "mc_cycle_counts", "serve_cycles"]
+__all__ = ["AlignmentPlan", "ExponentHandlingUnit", "mc_cycle_counts", "serve_cycles",
+           "worst_shift"]
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,11 @@ def serve_cycles(shifts: np.ndarray, sp: int) -> np.ndarray:
     return np.maximum(0, -(-s // sp) - 1)
 
 
+def worst_shift(shifts: np.ndarray, masked: np.ndarray, axis=-1) -> np.ndarray:
+    """Largest unmasked alignment shift over ``axis`` (0 if all are masked)."""
+    return np.where(masked, 0, shifts).max(axis=axis)
+
+
 def mc_cycle_counts(
     shifts: np.ndarray,
     masked: np.ndarray,
@@ -140,12 +152,11 @@ def mc_cycle_counts(
     batch_shape = shifts.shape[:-1]
     if adder_width >= software_precision:
         return np.ones(batch_shape, dtype=np.int64)
-    cycles_per_prod = serve_cycles(shifts, sp)
-    cycles_per_prod = np.where(masked, -1, cycles_per_prod)
     if not skip_empty_cycles:
-        # sequential thresholds: last occupied partition index + 1 (min 1)
-        return np.maximum(cycles_per_prod.max(axis=-1), 0) + 1
+        # sequential thresholds: the worst unmasked shift's partition + 1
+        return serve_cycles(worst_shift(shifts, masked), sp) + 1
     # occupied-partition count (ablation)
+    cycles_per_prod = np.where(masked, -1, serve_cycles(shifts, sp))
     last = int(cycles_per_prod.max(initial=0))
     counts = np.zeros(batch_shape, dtype=np.int64)
     for c in range(last + 1):

@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fp.formats import FP16, FP32, FPFormat
-from repro.ipu.ehu import mc_cycle_counts
-from repro.ipu.ipu import SOFTWARE_PRECISION, InnerProductUnit, IPUConfig
-from repro.ipu.theory import safe_precision
+from repro.ipu.ipu import InnerProductUnit, IPUConfig
 
 __all__ = ["make_mc_ipu", "make_baseline_ipu", "alignment_cycles_batch", "BASELINE_ADDER_WIDTH"]
 
@@ -53,13 +51,10 @@ def alignment_cycles_batch(
     exponents, EHU stage-1 output). This is the kernel the statistical tile
     simulator evaluates over sampled convolution inner products.
     """
+    from repro.tile.simulator import step_cycle_samples  # repro.tile imports this module
+
     exps = np.asarray(product_exps, dtype=np.int64)
     if exps.ndim != 2 or exps.shape[1] != n_inputs:
         raise ValueError(f"expected shape (B, {n_inputs}), got {exps.shape}")
-    max_exp = exps.max(axis=1, keepdims=True)
-    shifts = max_exp - exps
-    masked = shifts >= software_precision
-    return mc_cycle_counts(
-        shifts, masked, safe_precision(adder_width), adder_width,
-        software_precision, skip_empty_cycles=skip_empty_cycles,
-    )
+    return step_cycle_samples(exps[:, None, :], adder_width, software_precision,
+                              skip_empty_cycles)

@@ -4,8 +4,8 @@ Execution model (paper §3.2-3.3, §4.1):
 
 - An FP16 x FP16 inner product is nine nibble iterations. On a baseline
   (38-bit) IPU each iteration is one cycle. On an MC-IPU(w) each iteration
-  takes ``ceil(min(max_shift, sw) / sp)`` cycles, where ``max_shift`` is the
-  worst unmasked alignment among the IPU's n products.
+  takes ``max(1, ceil(max_shift / sp))`` cycles, where ``max_shift`` is the
+  worst unmasked (``< sw``) alignment among the IPU's n products.
 - IPUs in a cluster run in lockstep: a step costs the *maximum* cycles over
   the cluster members (they share the broadcast input).
 - Clusters run independently (local input/output buffers); with adequate
@@ -24,16 +24,20 @@ alignment shifts is served (Proposition 1, ``sp = w - 9``).
 and costs every width off that one array, and tiles whose adder tree meets
 the software precision (never multi-cycle) are not sampled at all.
 :func:`simulate_network` is the single-tile case of it.
+The cost is width-independent up to its last step too: a lockstep step
+costs ``serve_cycles(W, sp) + 1``, with ``W`` the worst unmasked shift over
+the whole cluster, so :func:`step_cycle_samples` reduces each step to ``W``
+once and prices every width from it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.ipu.ehu import mc_cycle_counts
-from repro.ipu.ipu import SOFTWARE_PRECISION
+from repro.ipu.ehu import mc_cycle_counts, worst_shift
 from repro.ipu.theory import safe_precision
 from repro.nn.zoo import ConvShape
 from repro.tile.config import TileConfig
@@ -82,7 +86,7 @@ class NetworkPerf:
 
 def step_cycle_samples(
     product_exps: np.ndarray,
-    adder_width: int,
+    adder_width: int | Sequence[int],
     software_precision: int,
     skip_empty_cycles: bool = False,
 ) -> np.ndarray:
@@ -90,17 +94,26 @@ def step_cycle_samples(
 
     ``product_exps`` has shape ``(samples, group, n)``: per-IPU alignment
     cycles are computed from the exponent spread, then the lockstep maximum
-    is taken over the group axis.
+    is taken over the group axis. A sequence of adder widths returns one
+    row per width, shape ``(len(widths), samples)``, all priced from one
+    worst-shift reduction (the ``skip_empty_cycles`` ablation is costed
+    per width over every lane).
     """
+    widths = [adder_width] if np.ndim(adder_width) == 0 else list(adder_width)
+    # an MC adder narrower than one product has no serve schedule at all
+    sps = [safe_precision(w, strict=w < software_precision) for w in widths]
     exps = np.asarray(product_exps, dtype=np.int64)
-    max_exp = exps.max(axis=-1, keepdims=True)
-    shifts = max_exp - exps
+    shifts = exps.max(axis=-1, keepdims=True) - exps
     masked = shifts >= software_precision
-    per_ipu = mc_cycle_counts(
-        shifts, masked, safe_precision(adder_width), adder_width,
-        software_precision, skip_empty_cycles=skip_empty_cycles,
-    )
-    return per_ipu.max(axis=-1)
+    if not skip_empty_cycles:
+        # the lockstep cost is the worst unmasked shift's over the whole
+        # group, whatever the width: cost that one shift per step
+        shifts = worst_shift(shifts, masked, axis=(-2, -1))[..., None, None]
+        masked = np.zeros(shifts.shape, dtype=bool)
+    rows = [mc_cycle_counts(shifts, masked, sp, w, software_precision,
+                            skip_empty_cycles).max(axis=-1)
+            for w, sp in zip(widths, sps)]
+    return rows[0] if np.ndim(adder_width) == 0 else np.stack(rows)
 
 
 def expected_step_cycles(
@@ -214,11 +227,10 @@ def simulate_networks(
                 layer, n_inputs, group, samples, direction=direction,
                 rng=np.random.default_rng(seed),
             )
-            for i in members:
-                perfs[i].append(simulate_layer(
-                    layer, tiles[i], software_precision, direction, samples,
-                    skip_empty_cycles=skip_empty_cycles, product_exps=exps,
-                ))
+            rows = step_cycle_samples(exps, [tiles[i].adder_width for i in members],
+                                      software_precision, skip_empty_cycles)
+            for i, row in zip(members, rows):
+                perfs[i].append(_layer_perf(layer, tiles[i], float(row.mean())))
     return [NetworkPerf(name="", layers=layer_perfs) for layer_perfs in perfs]
 
 

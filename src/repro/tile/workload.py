@@ -112,7 +112,7 @@ def sample_product_exponents(
     wts = weight_model.sample((samples, group, n_inputs), rng)
     ea = _exponent_of(acts)[:, None, :]
     ew = _exponent_of(wts)
-    return (ea + ew).astype(np.int64)
+    return ea + ew
 
 
 def product_exponents_from_tensors(
@@ -161,7 +161,7 @@ def product_exponents_from_tensors(
         ewmat = _tensor_exponents(wmat, session).reshape(k, chunks, n_inputs)
         ea = ecols[img_idx, chunk_idx, :, pix_idx][:, None, :]
         ew = ewmat[group_k, chunk_idx[:, None], :]
-        return (ea + ew).astype(np.int64)
+        return ea + ew
     col_chunks = cols.reshape(n_img, chunks, n_inputs, p)
     w_chunks = wmat.reshape(k, chunks, n_inputs)
 
@@ -169,4 +169,4 @@ def product_exponents_from_tensors(
     w = w_chunks[group_k, chunk_idx[:, None], :]                  # (S, g, n)
     ea = _exponent_of(a)[:, None, :]
     ew = _exponent_of(w)
-    return (ea + ew).astype(np.int64)
+    return ea + ew

@@ -202,6 +202,11 @@ class TestBatchedPerf:
         assert perfs[0] is kept  # present before the batch: never evicted
         assert session.stats.misses["perf"] == misses + 2  # both retried
 
+    @pytest.mark.parametrize("tile", ["small@9b", "small@8b"])
+    def test_sub_product_adder_is_rejected_not_costed_as_never_stalling(self, session, tile):
+        with pytest.raises(ValueError, match="no safe precision"):
+            session.network_perf("resnet18", tile)
+
 
 class TestEvaluate:
     def test_custom_design_on_custom_tile_end_to_end(self, session):

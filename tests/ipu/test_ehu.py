@@ -107,6 +107,12 @@ class TestVectorizedCycleCounts:
             plan = ehu.plan(exps[row].tolist(), [0] * 8)
             assert counts[row] == len(ehu.serve_schedule(plan, 3))
 
+    def test_all_masked_row_takes_one_cycle(self):
+        shifts = np.array([[30, 40, 28], [0, 30, 8]])
+        counts = mc_cycle_counts(shifts, shifts >= 28, sp=3, adder_width=12,
+                                 software_precision=28)
+        assert counts.tolist() == [1, 3]
+
     def test_single_cycle_when_width_meets_software_precision(self):
         shifts = np.array([[0, 25, 10]])
         masked = shifts >= 28

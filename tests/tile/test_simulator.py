@@ -4,7 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.api import EmulationSession
+from repro.ipu.ehu import ExponentHandlingUnit
 from repro.nn.zoo import ConvShape, resnet18_convs
 from repro.tile.config import BIG_TILE, SMALL_TILE
 from repro.tile import simulator
@@ -17,7 +22,13 @@ from repro.tile.simulator import (
     step_cycle_samples,
 )
 from repro.tile.tile import simulate_layer_queued
-from repro.tile.workload import chunks_per_output, layer_ip_ops, sample_product_exponents
+from repro.tile.workload import (
+    ZERO_EXP,
+    chunks_per_output,
+    layer_ip_ops,
+    product_exponents_from_tensors,
+    sample_product_exponents,
+)
 
 LAYER = ConvShape("test", c_in=64, c_out=64, kh=3, kw=3, stride=1,
                   pad_h=1, pad_w=1, h=28, w=28)
@@ -36,6 +47,16 @@ class TestWorkAccounting:
         for layer in resnet18_convs():
             assert layer_ip_ops(layer, 16) * 16 >= layer.macs
             assert layer_ip_ops(layer, 16) * 16 < layer.macs * 1.4 + 16 * layer.output_pixels * layer.c_out
+
+    def test_sampled_product_exponents_are_int64(self):
+        assert sample_product_exponents(LAYER, 16, 4, 8, rng=0).dtype == np.int64
+        rng = np.random.default_rng(0)
+        inputs = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        weights = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        for session in (None, EmulationSession()):
+            exps = product_exponents_from_tensors(inputs, weights, 1, 1, 16, 2, 8,
+                                                  rng=0, session=session)
+            assert exps.shape == (8, 2, 16) and exps.dtype == np.int64
 
 
 class TestStepCycles:
@@ -56,6 +77,77 @@ class TestStepCycles:
         exps = rng.integers(-28, 31, size=(50, 4, 8))
         cycles = step_cycle_samples(exps, adder_width=28, software_precision=28)
         assert np.all(cycles == 1)
+
+    @pytest.mark.parametrize("width", [4, 8, 9])
+    def test_sub_product_adder_has_no_serve_schedule(self, width):
+        exps = np.zeros((4, 2, 8), dtype=np.int64)
+        with pytest.raises(ValueError, match="no safe precision"):
+            step_cycle_samples(exps, width, 28)
+        with pytest.raises(ValueError, match="no safe precision"):
+            step_cycle_samples(exps, [16, width], 28)
+
+    def test_sub_product_width_meeting_software_precision_is_one_cycle(self):
+        exps = np.zeros((4, 2, 8), dtype=np.int64)
+        assert step_cycle_samples(exps, 9, 9).tolist() == [1] * 4
+
+    def test_width_sequence_returns_one_row_per_width(self):
+        exps = sample_product_exponents(LAYER, 16, 4, 64, rng=2)
+        widths = (12, 38, 16, 12, 27)
+        rows = step_cycle_samples(exps, widths, 28)
+        assert rows.shape == (len(widths), 64) and rows.dtype == np.int64
+        for width, row in zip(widths, rows):
+            assert np.array_equal(row, step_cycle_samples(exps, width, 28))
+
+
+@st.composite
+def product_exponent_batches(draw):
+    """``(samples, group, n)`` product exponents with zero-operand lanes,
+    spreads up to 60 and, optionally, an IPU whose lanes but one are masked."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    spread = draw(st.integers(0, 60))
+    exps = draw(arrays(np.int64, shape, elements=st.integers(-spread, 0)))
+    zeros = draw(arrays(np.bool_, shape))
+    exps = np.where(zeros, ZERO_EXP + exps, exps)
+    if draw(st.booleans()):
+        exps[0, 0, 0] = 0
+        exps[0, 0, 1:] = -draw(st.integers(28, 60))  # shift >= every software precision
+    return exps
+
+
+def golden_step_cycles(exps, width, software_precision, skip_empty_cycles):
+    """Per-sample lockstep cost from the scalar EHU's serve schedule."""
+    if width >= software_precision:
+        return [1] * exps.shape[0]
+    ehu = ExponentHandlingUnit(software_precision)
+    costs = []
+    for sample in exps:
+        per_ipu = []
+        for lanes in sample:
+            schedule = ehu.serve_schedule(ehu.plan(lanes.tolist(), [0] * len(lanes)), width - 9)
+            if skip_empty_cycles:
+                per_ipu.append(max(sum(1 for cycle in schedule if cycle), 1))
+            else:
+                per_ipu.append(len(schedule))
+        costs.append(max(per_ipu))
+    return costs
+
+
+class TestStepCyclesMatchGoldenEHU:
+    @settings(max_examples=150, deadline=None)
+    @given(exps=product_exponent_batches(),
+           widths=st.lists(st.integers(10, 38), min_size=1, max_size=4),
+           software_precision=st.sampled_from([16, 26, 28]),
+           skip_empty_cycles=st.booleans())
+    def test_every_width_matches_the_scalar_schedule(
+            self, exps, widths, software_precision, skip_empty_cycles):
+        rows = step_cycle_samples(exps, widths, software_precision, skip_empty_cycles)
+        assert rows.shape == (len(widths), exps.shape[0])
+        for k, width in enumerate(widths):
+            assert rows[k].tolist() == golden_step_cycles(
+                exps, width, software_precision, skip_empty_cycles)
+        single = [step_cycle_samples(exps, w, software_precision, skip_empty_cycles)
+                  for w in widths]
+        assert np.array_equal(rows, np.stack(single))
 
 
 class TestLayerSimulation:
