@@ -22,7 +22,7 @@ from pathlib import Path
 from repro.fp.registry import AccumulatorSpec, parse_accumulator, parse_format
 from repro.hw.designs import TABLE1_PRECISIONS, Design
 from repro.hw.registry import format_tile, parse_design, parse_tile, register_design
-from repro.ipu.engine import ENGINES, KernelPoint
+from repro.ipu.engine import KernelPoint
 from repro.store.fingerprint import fingerprint as _fingerprint
 from repro.tile.config import TileConfig
 
@@ -54,14 +54,12 @@ def _load_spec_json(source: str | Path) -> dict:
 
 def _result_fingerprint(tag: str, d: dict) -> str:
     """Stable result key for a spec dict: drops the fields that never change
-    results (``name`` labels output, ``executor`` and ``engine`` only change
-    wall-clock — all kernel engines are bit-identical), so replays of one
-    grid land on one store entry / one coalesced request regardless of
-    presentation or backend/engine choice."""
+    results (``name`` labels output, ``executor`` only changes wall-clock),
+    so replays of one grid land on one store entry / one coalesced request
+    regardless of presentation or backend choice."""
     d = dict(d)
     d.pop("name", None)
     d.pop("executor", None)
-    d.pop("engine", None)
     return _fingerprint({tag: d})
 
 
@@ -132,15 +130,8 @@ class RunSpec:
     the backend when constructing their :class:`EmulationSession` —
     ``session.sweep`` runs on the session's backend regardless (pass
     ``EmulationSession(backend=spec.executor)`` to honor it). The backend
-    never changes results — only wall-clock.
-
-    ``engine`` optionally pins the kernel engine
-    (:data:`repro.ipu.engine.ENGINES`: ``"numpy"`` / ``"numpy-unfused"`` /
-    ``"compiled"``). Unlike ``executor``, this field *is* honored by
-    ``session.sweep`` directly (overriding the session's engine) — engines
-    are bit-identical, so like the backend it never changes results, and
-    both are excluded from the result fingerprint. ``"compiled"`` falls
-    back to ``"numpy"`` when numba is absent.
+    never changes results — only wall-clock — so it is excluded from the
+    result fingerprint.
     """
 
     name: str = "sweep"
@@ -152,7 +143,6 @@ class RunSpec:
     chunks: int = 1
     seed: int = 0
     executor: ExecutorSpec | None = None
-    engine: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sources", tuple(self.sources))
@@ -162,13 +152,10 @@ class RunSpec:
         ))
         if self.executor is not None and not isinstance(self.executor, ExecutorSpec):
             object.__setattr__(self, "executor", ExecutorSpec.from_dict(self.executor))
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         for source in self.sources:
             if source.startswith("mixture:"):
-                # fail on malformed mixture grammars at spec build time, like
-                # unknown engines — not halfway through a sweep
+                # fail on malformed mixture grammars at spec build time,
+                # not halfway through a sweep
                 from repro.nn.sampling import parse_mixture_source
 
                 parse_mixture_source(source)

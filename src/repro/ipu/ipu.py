@@ -3,7 +3,7 @@
 This is the golden model: readable, arbitrary-precision, and structured
 exactly like the hardware (nibble iterations over 5b×5b multipliers, local
 shift + truncate, w-bit adder tree, swap-and-shift accumulator). The fast
-vectorized emulation in :mod:`repro.ipu.vectorized` is validated against it.
+vectorized emulation in :mod:`repro.ipu.engine` is validated against it.
 
 A single class covers both the plain IPU and the multi-cycle MC-IPU: an
 IPU(w) whose width meets the software precision runs one cycle per nibble

@@ -99,11 +99,11 @@ class TestRunSpec:
             RunSpec(batch=0)
 
     def test_engine_field(self):
-        spec = RunSpec(engine="numpy-unfused")
-        assert RunSpec.from_json(spec.to_json()).engine == "numpy-unfused"
-        assert RunSpec().engine is None  # default: session decides
-        with pytest.raises(ValueError, match="engine"):
-            RunSpec(engine="fortran")
+        """There is one kernel engine, so a spec carrying an ``engine``
+        field is rejected like any other unknown field."""
+        assert "engine" not in RunSpec().to_dict()
+        with pytest.raises(TypeError, match="engine"):
+            RunSpec.from_dict({**RunSpec().to_dict(), "engine": "numpy"})
 
     def test_rejects_unpackable_operand_format(self):
         """Registry formats without an engine path fail at spec load, not

@@ -1,18 +1,17 @@
-"""Engine selection, fused-vs-unfused bit identity, buffers, and out=."""
+"""Engine name, fused-vs-seed bit identity, buffers, and out=."""
 
 import numpy as np
 import pytest
 
 from repro.fp.formats import FP16
 from repro.ipu.engine import (
-    ENGINES,
     KernelPoint,
-    available_engines,
-    compiled_available,
     fp_ip_points,
     pack_operands,
+    plan_values,
     resolve_engine,
 )
+from repro.ipu.seedref import fp_ip_batch_seed
 
 from test_engine import CONFIGS, assert_results_equal, wide_operands
 
@@ -39,55 +38,45 @@ def overflow_regime_pair(n=100_000):
 
 
 class TestEngineSelection:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_is_numpy(self):
         assert resolve_engine() == "numpy"
         assert resolve_engine(None) == "numpy"
-
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "numpy-unfused")
-        assert resolve_engine() == "numpy-unfused"
-        # an explicit argument beats the environment
-        assert resolve_engine("numpy") == "numpy"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine("fortran")
 
-    def test_compiled_falls_back_without_numba(self):
-        resolved = resolve_engine("compiled")
-        if compiled_available():
-            assert resolved == "compiled"
-        else:
-            assert resolved == "numpy"
-
-    def test_available_engines_listing(self):
-        names = available_engines()
-        assert "numpy" in names and "numpy-unfused" in names
-        assert ("compiled" in names) == compiled_available()
-        assert set(names) <= set(ENGINES)
-
 
 class TestFusedUnfusedParity:
+    """The fused kernels against the frozen unfused seed kernel, which
+    re-decodes the plans' exact values and runs one nibble pass at a time."""
+
+    @staticmethod
+    def seed_points(pa, pb, points):
+        a, b = plan_values(pa), plan_values(pb)
+        return [fp_ip_batch_seed(a, b, p.adder_width, p.software_precision,
+                                 acc_fmt=p.acc_fmt, multi_cycle=p.multi_cycle)
+                for p in points]
+
     @pytest.mark.parametrize("w,sw,mc", CONFIGS)
     def test_bit_identical_per_config(self, w, sw, mc):
         pa, pb = packed_pair(seed=w * 100 + sw)
         points = [KernelPoint(w, sw, mc)]
-        fused = fp_ip_points(pa, pb, points, engine="numpy")
-        unfused = fp_ip_points(pa, pb, points, engine="numpy-unfused")
-        assert_results_equal(fused[0], unfused[0], (w, sw, mc))
+        fused = fp_ip_points(pa, pb, points)
+        seed = self.seed_points(pa, pb, points)
+        assert_results_equal(fused[0], seed[0], (w, sw, mc))
 
     def test_multi_point_mixed_modes(self):
-        """One fused call over mixed single/MC/acc points == unfused."""
+        """One fused call over mixed single/MC/acc points == the seed."""
         pa, pb = packed_pair(seed=29, shape=(257, 12))
         points = [
             KernelPoint(8), KernelPoint(16, acc_fmt=FP16), KernelPoint(28),
             KernelPoint(38), KernelPoint(12, 28, multi_cycle=True),
             KernelPoint(10, 28, multi_cycle=True),
         ]
-        fused = fp_ip_points(pa, pb, points, engine="numpy")
-        unfused = fp_ip_points(pa, pb, points, engine="numpy-unfused")
-        for f, u, p in zip(fused, unfused, points):
+        fused = fp_ip_points(pa, pb, points)
+        seed = self.seed_points(pa, pb, points)
+        for f, u, p in zip(fused, seed, points):
             assert_results_equal(f, u, p)
 
     def test_bit_identical_near_int32_sum_boundary(self):
@@ -98,30 +87,29 @@ class TestFusedUnfusedParity:
         pa, pb = overflow_regime_pair()
         points = [KernelPoint(15, 28, multi_cycle=True),
                   KernelPoint(12, 28, multi_cycle=True)]
-        fused = fp_ip_points(pa, pb, points, engine="numpy")
-        unfused = fp_ip_points(pa, pb, points, engine="numpy-unfused")
-        for f, u, p in zip(fused, unfused, points):
+        fused = fp_ip_points(pa, pb, points)
+        seed = self.seed_points(pa, pb, points)
+        for f, u, p in zip(fused, seed, points):
             assert_results_equal(f, u, p)
 
     def test_bit_identical_random_large_n(self):
-        """Random operands at int32-boundary lane counts, fused == unfused."""
+        """Random operands at int32-boundary lane counts, fused == seed."""
         rng = np.random.default_rng(53)
         for w, n in [(15, 100_000), (12, 140_000), (10, 60_000)]:
             shape = (2, n)
             a, b = wide_operands(rng, shape)
             pa, pb = pack_operands(a), pack_operands(b)
             points = [KernelPoint(w, 28, multi_cycle=True)]
-            fused = fp_ip_points(pa, pb, points, engine="numpy")
-            unfused = fp_ip_points(pa, pb, points, engine="numpy-unfused")
-            assert_results_equal(fused[0], unfused[0], (w, n))
+            fused = fp_ip_points(pa, pb, points)
+            seed = self.seed_points(pa, pb, points)
+            assert_results_equal(fused[0], seed[0], (w, n))
 
     def test_forced_int64_matches_int32(self):
         pa, pb = packed_pair(seed=31)
         for w, sw, mc in CONFIGS:
             points = [KernelPoint(w, sw, mc)]
-            narrow = fp_ip_points(pa, pb, points, engine="numpy")
-            wide = fp_ip_points(pa, pb, points, engine="numpy",
-                               work_dtype=np.int64)
+            narrow = fp_ip_points(pa, pb, points)
+            wide = fp_ip_points(pa, pb, points, work_dtype=np.int64)
             assert_results_equal(narrow[0], wide[0], (w, sw, mc))
 
 

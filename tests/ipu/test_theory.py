@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fp.formats import FP16
+from repro.ipu.engine import fp_ip_packed, pack_operands
 from repro.ipu.theory import (
     MAX_FP16_PRODUCT_SHIFT,
     PRODUCT_MAGNITUDE_BITS,
@@ -13,7 +14,6 @@ from repro.ipu.theory import (
     safe_precision,
     theorem1_bound,
 )
-from repro.ipu.vectorized import fp_ip_batch
 
 
 class TestConstants:
@@ -77,7 +77,7 @@ class TestTheorem1:
         n = 8
         a = rng.laplace(0, 1, (16, n)).astype(np.float16).astype(np.float64)
         b = rng.laplace(0, 1, (16, n)).astype(np.float16).astype(np.float64)
-        res = fp_ip_batch(a, b, adder_width=precision)
+        res = fp_ip_packed(pack_operands(a), pack_operands(b), adder_width=precision)
         exact = (a * b).sum(axis=1)  # float64 exact for fp16 inputs, n small
         bound = sum(
             theorem1_bound(i, j, precision, int(me), n)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,11 +57,17 @@ class TestFingerprints:
         renamed = RunSpec.from_dict({**SPEC.to_dict(), "name": "other"})
         threaded = RunSpec.from_dict(
             {**SPEC.to_dict(), "executor": ExecutorSpec("thread", 2)})
-        unfused = RunSpec.from_dict({**SPEC.to_dict(), "engine": "numpy-unfused"})
         assert renamed.fingerprint() == SPEC.fingerprint()
         assert threaded.fingerprint() == SPEC.fingerprint()
-        # engines are bit-identical, so cached results are shared across them
-        assert unfused.fingerprint() == SPEC.fingerprint()
+
+    def test_committed_spec_keys_are_pinned(self):
+        """The committed specs' store keys: a change here orphans every
+        stored result, so it must come with a CODE_VERSION bump."""
+        specs = Path(__file__).resolve().parents[2] / "examples" / "specs"
+        assert (RunSpec.from_json(specs / "fig3_quick.json").fingerprint()
+                == "effd0ca85db771486e8ce6ed3da05231")
+        assert (DesignSweepSpec.from_json(specs / "design_pareto.json").fingerprint()
+                == "21d37cf3d17206600cae3fd679dc1c8c")
 
     def test_result_fields_change_keys(self):
         for change in ({"seed": 8}, {"batch": 601}, {"sources": ["laplace"]},
