@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fp.formats import FP16, FP32, FPFormat
-from repro.ipu.engine import KernelPoint, PackedOperands, fp_ip_packed, pack_operands
+from repro.ipu.engine import KernelPoint, PackedOperands, fp_ip_points, pack_operands
 from repro.nn.functional import conv_output_size, im2col
 from repro.nn.layers import BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d, ReLU, Residual, Sequential
 from repro.utils.rng import as_generator
@@ -70,22 +70,27 @@ def emulated_conv2d(
     convention); chunk partials accumulate exactly and round once into the
     accumulator format, modelling the non-normalized wide accumulator.
 
-    The activation tensor is packed once and iterated against one weight
-    channel's plan at a time, so peak temporary memory is O(B*n) — the seed
-    materialized a K-fold broadcast of both operands before emulating.
+    The activation tensor is packed once and runs against every output
+    channel's weight plan in one engine call: activations ``(N*P, 1,
+    chunks)`` broadcast against the weight plan ``(K, chunks)``. The engine
+    prepares each operand at its own shape, so the K-fold broadcast is
+    never materialized; the results (and peak temporary memory) are
+    O(N*P*K*chunks).
 
     ``session`` (an :class:`repro.api.EmulationSession`) routes activation
     packing through the session's fingerprint cache — one batch's plan is
     then shared across every IPU precision of an evaluation — and supplies
-    the weight-plan cache; the per-channel kernels also run through the
-    session's execution backend, so large batches split across its
-    thread/process pool (bit-identical results either way). ``plan_cache``
-    is the session-less fallback.
+    the weight-plan cache; the kernel call also runs through the session's
+    execution backend, so large batches split across its thread/process
+    pool (bit-identical results either way). ``plan_cache`` is the
+    session-less fallback.
     """
     n_ipu = _N_IPU
     if session is not None:
         plan_cache = session.weight_plan_cache
     k, c, kh, kw = weight.shape
+    if x.shape[1] != c:
+        raise ValueError(f"input channels {x.shape[1]} != weight channels {c}")
     nimg = x.shape[0]
     ho = conv_output_size(x.shape[2], kh, stride, padding)
     wo = conv_output_size(x.shape[3], kw, stride, padding)
@@ -99,18 +104,11 @@ def emulated_conv2d(
     acts = pack_operands(chunked, FP16) if session is None else session.pack(chunked, FP16)
     wplan = weight_plan(weight, n_ipu, plan_cache)            # (K, chunks, n_ipu)
 
-    out = np.empty((k, nimg * p))
-    if session is None:
-        for ch in range(k):
-            res = fp_ip_packed(acts, wplan[ch], adder_width, acc_fmt=acc_fmt)
-            out[ch] = res.values.sum(axis=1)                  # exact chunk partials
-    else:
-        point = KernelPoint(adder_width, acc_fmt=acc_fmt)
-        with session.kernel_scope():  # ship the act plan to workers once
-            for ch in range(k):
-                res = session.run_kernels(acts, wplan[ch], [point])[0]
-                out[ch] = res.values.sum(axis=1)
-    out_t = out.T.reshape(nimg, p, k).transpose(0, 2, 1)
+    run = fp_ip_points if session is None else session.run_kernels
+    res = run(acts.reshape(nimg * p, 1, chunks), wplan,       # -> (N*P, K, chunks)
+              [KernelPoint(adder_width, acc_fmt=acc_fmt)])[0]
+    out = res.values.sum(axis=-1)                             # exact chunk partials
+    out_t = out.reshape(nimg, p, k).transpose(0, 2, 1)
     if acc_fmt.name == "fp32":
         out_t = out_t.astype(np.float32)
     else:

@@ -51,7 +51,6 @@ import os
 import tempfile
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -224,11 +223,6 @@ class SerialExecutor:
     def map_tasks(self, fn, payloads) -> list:
         return [fn(p) for p in payloads]
 
-    @contextmanager
-    def plan_scope(self):
-        """No-op here; see :meth:`ProcessExecutor.plan_scope`."""
-        yield
-
     def close(self) -> None:
         pass
 
@@ -297,11 +291,6 @@ class ThreadExecutor:
         return [f.result() for f in futures]
 
     map_tasks = map
-
-    @contextmanager
-    def plan_scope(self):
-        """No-op here; see :meth:`ProcessExecutor.plan_scope`."""
-        yield
 
     def close(self) -> None:
         with self._lock:
@@ -532,10 +521,6 @@ class ProcessExecutor:
         self._pool: ProcessPoolExecutor | None = None
         self._live: dict[str, shared_memory.SharedMemory] = {}
         self._live_results: list[str] = []
-        self._scope_depth = 0
-        # id(plan) -> (plan, descriptor); the plan reference pins the id so
-        # it cannot be recycled onto a different object mid-scope
-        self._scope_exports: dict[int, tuple[PackedOperands, dict]] = {}
         self._lock = threading.Lock()
 
     @property
@@ -603,55 +588,18 @@ class ProcessExecutor:
             jobs = [(index, item, resubmit(pool, item)) for index, item in broken]
         return out
 
-    @contextmanager
-    def plan_scope(self):
-        """Pin plan exports across calls: within the scope, re-submitting the
-        same :class:`PackedOperands` object reuses its shared-memory segment
-        instead of re-exporting it, and segments are unlinked when the
-        outermost scope exits. This is how per-channel loops (the emulated
-        convolution) ship one activation plan across many kernel calls."""
-        with self._lock:
-            self._scope_depth += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._scope_depth -= 1
-                if self._scope_depth == 0:
-                    names = [d["name"] for _, d in self._scope_exports.values()]
-                    self._scope_exports = {}
-                else:
-                    names = []
-            self._unlink(names)
-
     def _register(self, shm: shared_memory.SharedMemory) -> None:
         self._live[shm.name] = shm
         self.shm_bytes += shm.size
         self.shm_bytes_tx += shm.size
         self.last_segments.append(shm.name)
 
-    def _export(self, plan: PackedOperands) -> tuple[dict, bool]:
-        """``(descriptor, deferred)``: deferred exports outlive the call
-        (a surrounding plan_scope owns their unlink).
-
-        The scoped branch checks, exports, and registers under one lock
-        hold, so concurrent callers sharing a plan inside a scope never
-        race into a double export (the copy is serialized — scopes exist
-        for single-threaded per-channel loops, where this never contends).
-        """
-        with self._lock:
-            if self._scope_depth > 0:
-                cached = self._scope_exports.get(id(plan))
-                if cached is not None and cached[0] is plan:
-                    return cached[1], True
-                shm, desc = _export_plan(plan)
-                self._register(shm)
-                self._scope_exports[id(plan)] = (plan, desc)
-                return desc, True
+    def _export(self, plan: PackedOperands) -> dict:
+        """Copy a plan into a new shared-memory segment; its descriptor."""
         shm, desc = _export_plan(plan)
         with self._lock:
             self._register(shm)
-        return desc, False
+        return desc
 
     def _unlink(self, names) -> None:
         for name in names:
@@ -688,23 +636,22 @@ class ProcessExecutor:
             return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows)
         pool = self._ensure_pool()
         with self._lock:
-            if self._scope_depth == 0:
-                self.last_segments = []
+            self.last_segments = []
             self.last_result_files = []
         own_tracker = self._start_method != "fork"
         rows = dim0 * inner
         lead = tuple(shape[:-1])
         layout, total = _result_layout(points, rows)
-        exported: list[tuple[dict, bool]] = []
+        exported: list[dict] = []
         path = None
         try:  # exports inside the try so a failed second export still cleans up
-            desc_a, defer_a = self._export(pa)
-            exported.append((desc_a, defer_a))
+            desc_a = self._export(pa)
+            exported.append(desc_a)
             if pb is pa:  # self inner products share one segment
-                desc_b, defer_b = desc_a, defer_a
+                desc_b = desc_a
             else:
-                desc_b, defer_b = self._export(pb)
-                exported.append((desc_b, defer_b))
+                desc_b = self._export(pb)
+                exported.append(desc_b)
             path = _create_result_file(total)
             with self._lock:
                 self._live_results.append(path)
@@ -741,7 +688,7 @@ class ProcessExecutor:
                     self.results_pickled += 1
             slots = _result_views(mm, layout, rows)
         finally:
-            self._unlink([desc["name"] for desc, defer in exported if not defer])
+            self._unlink([desc["name"] for desc in exported])
             if path is not None:
                 self._unlink_result(path)
         return [
@@ -771,7 +718,6 @@ class ProcessExecutor:
             pool, self._pool = self._pool, None
             live, self._live = dict(self._live), {}
             live_results, self._live_results = list(self._live_results), []
-            self._scope_exports = {}
         for shm in live.values():
             _release_plan(shm)
             try:

@@ -370,16 +370,6 @@ class EmulationSession:
         """
         return self._run_points(pa, pb, points)
 
-    def kernel_scope(self):
-        """Context manager pinning process-backend plan exports.
-
-        Inside the scope, repeated :meth:`run_kernels` calls that reuse the
-        same plan object ship it through shared memory once instead of once
-        per call (no-op on serial/thread backends). Segments are unlinked
-        when the scope exits.
-        """
-        return self.executor.plan_scope()
-
     def _run_points(self, pa: PackedOperands, pb: PackedOperands,
                     points: list[KernelPoint]):
         """fp_ip_points through the execution backend when profitable."""

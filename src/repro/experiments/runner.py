@@ -27,13 +27,15 @@ Usage::
         --chaos examples/specs/chaos_quick.json   # fault-injected replay
     python -m repro.experiments.runner --spec spec.json --trace trace.json
     python -m repro.experiments.runner --design-spec spec.json --profile
+    python -m repro.experiments.runner --all --quick --profile
     python -m repro.experiments.runner --design-spec spec.json \
         --fleet http://127.0.0.1:8731,http://127.0.0.1:8732 --trace trace.json
     python -m repro.experiments.runner --verify-store results/
 
 ``--trace`` writes a Chrome trace-event JSON (load it in Perfetto /
 ``chrome://tracing``) covering every layer the run crossed — including
-remote service jobs, whose spans come back over the wire. ``--profile``
+remote service jobs, whose spans come back over the wire; each named
+experiment is one ``experiment.<name>`` span. ``--profile``
 prints a per-phase wall-time tree after the result. Both leave the result
 output byte-identical to an untraced run.
 """
@@ -459,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{modes[0]} cannot be combined with named experiments", file=sys.stderr)
         return 2
     session_modes = {"--spec", "--design-spec", "--search", "--serve"}
+    traced_modes = {"--spec", "--design-spec", "--search", "--submit", "experiment"}
+    # named experiments (or --all) are the "experiment" mode
+    mode = modes[0] if modes else ("experiment" if args.experiments or args.all else None)
     for flag, on, needs in (
         ("--backend", args.backend is not None, session_modes),
         ("--workers", args.workers is not None, session_modes),
@@ -472,12 +477,10 @@ def main(argv: list[str] | None = None) -> int:
         ("--fleet", args.fleet is not None,
          {"--spec", "--design-spec", "--search"}),
         ("--chaos", args.chaos is not None, session_modes),
-        ("--trace", args.trace is not None,
-         {"--spec", "--design-spec", "--search", "--submit"}),
-        ("--profile", args.profile,
-         {"--spec", "--design-spec", "--search", "--submit"}),
+        ("--trace", args.trace is not None, traced_modes),
+        ("--profile", args.profile, traced_modes),
     ):
-        if on and not (modes and modes[0] in needs):
+        if on and mode not in needs:
             print(f"{flag} only applies to {'/'.join(sorted(needs))} runs",
                   file=sys.stderr)
             return 2
@@ -514,9 +517,8 @@ def main(argv: list[str] | None = None) -> int:
     from repro.obs.trace import install as obs_install
     from repro.obs.trace import trace_span
 
-    mode = modes[0].lstrip("-") if modes else "experiments"
     with obs_install() as tracer:
-        with trace_span("runner", mode=mode):
+        with trace_span("runner", mode=mode.lstrip("-")):
             rc = _chaos_dispatch(args, parser)
         spans = tracer.export()
     if args.trace is not None:
@@ -556,6 +558,8 @@ def _chaos_dispatch(args, parser) -> int:
 
 def _dispatch(args, parser) -> int:
     """Run the validated mode (everything below the flag checks)."""
+    from repro.obs.trace import trace_span
+
     if args.serve:
         return _serve(args)
     if args.submit is not None:
@@ -599,7 +603,8 @@ def _dispatch(args, parser) -> int:
         fn, desc = EXPERIMENTS[name]
         print(f"\n{'=' * 72}\n{name}: {desc}\n{'=' * 72}")
         start = time.time()
-        print(fn(args.quick))
+        with trace_span(f"experiment.{name}", quick=args.quick):
+            print(fn(args.quick))
         timings[name] = round(time.time() - start, 3)
         print(f"[{name} done in {timings[name]:.1f}s]")
     if args.json:

@@ -16,9 +16,17 @@ decode (~half the runtime) once per *sweep point* instead of once per
 ``fp_ip_points``
     executes any number of :class:`KernelPoint` configurations against a
     packed operand pair in one pass. The batch is processed in cache-sized
-    row chunks; per chunk the pair preparation (product signs, exponent
-    sums, alignment shifts) is computed once and shared by all points, and
-    each point then runs the nibble kernel while the chunk is hot in cache.
+    row chunks; per chunk the pair preparation (exponent sums, alignment
+    shifts) is computed once and shared by all points, and each point then
+    runs the nibble kernel while the chunk is hot in cache. The operands
+    broadcast against each other, and each is prepared at its own shape:
+    broadcast (stride-0) axes shrink back to length 1, each side's signed
+    nibble planes come from its own data, and only the product tensor is
+    formed at the chunk's pair shape. An operand broadcast along the batch
+    axis (the weight side of an emulated convolution, whose activations
+    ``(B, 1, chunks)`` meet the weights ``(K, chunks)`` in one call) is
+    prepared once per call. Results are O(rows of the broadcast pair);
+    work buffers stay O(chunk).
 
 The kernels are **fused**. One work tensor of shape ``(K, K, rows, n)``
 holds every nibble pass of a chunk with the pass axes outermost, so each
@@ -314,9 +322,10 @@ def fp_ip_points(
 ) -> list[FPIPBatchResult]:
     """Run every kernel point against one operand pair, chunk by chunk.
 
-    ``pa``/``pb`` broadcast against each other over their leading axes (a
-    single weight plan row against a batch of activation plans, say); the
-    results carry the broadcast leading shape. ``work_dtype`` overrides the
+    ``pa``/``pb`` broadcast against each other over their leading axes
+    (every output channel's weight plan against a batch of activation
+    plans, say); the results carry the broadcast leading shape, but neither
+    operand is ever copied out to it. ``work_dtype`` overrides the
     int32/int64 selection (testing hook).
 
     ``out``, when given, is one 5-tuple of preallocated flat arrays per
@@ -340,8 +349,8 @@ def fp_ip_points(
     lead = shape[:-1]
     rows = int(np.prod(lead, dtype=np.int64))
 
-    a_sign, a_exp, a_nib = _broadcast_plan(pa, shape)
-    b_sign, b_exp, b_nib = _broadcast_plan(pb, shape)
+    a_sign, a_exp, a_nib = _operand_view(pa, len(shape))
+    b_sign, b_exp, b_nib = _operand_view(pb, len(shape))
 
     if out is None:
         values = [np.empty(rows) for _ in resolved]
@@ -370,18 +379,19 @@ def fp_ip_points(
         chunk_rows = default_chunk_rows(n)
     block = max(1, chunk_rows // max(inner, 1))
     bufs = _ChunkBuffers()
+    # an operand broadcast along axis 0 (the weight side of a conv) is the
+    # same in every chunk: its signed planes are built once per call
+    a_fixed = _signed_planes(a_sign, a_nib, bufs, "planes_a") if a_sign.shape[0] == 1 else None
+    b_fixed = _signed_planes(b_sign, b_nib, bufs, "planes_b") if b_sign.shape[0] == 1 else None
 
     for start in range(0, dim0, block):
         stop = min(start + block, dim0)
         r0, r1 = start * inner, stop * inner
-        sa = np.ascontiguousarray(a_sign[start:stop]).reshape(-1, n)
-        sb = np.ascontiguousarray(b_sign[start:stop]).reshape(-1, n)
-        cb = sa.shape[0]
-        exps = (
-            np.ascontiguousarray(a_exp[start:stop]).reshape(-1, n).astype(np.int64)
-            + np.ascontiguousarray(b_exp[start:stop]).reshape(-1, n)
-        )
-        neg = sa ^ sb                                  # product signs
+        chunk_shape = (stop - start,) + shape[1:]
+        cb = r1 - r0
+        exps = bufs.get((cb, n), np.int64, "exps")
+        np.add(_rows_of(a_exp, start, stop), _rows_of(b_exp, start, stop),
+               out=exps.reshape(chunk_shape), dtype=np.int64)
         max_exp = exps.max(axis=1)                     # (cb,)
         shifts = max_exp[:, None] - exps               # (cb, n) >= 0
         # FP16 alignment shifts are <= 58; clamp defensively below int64's
@@ -391,26 +401,24 @@ def fp_ip_points(
         regs: list[np.ndarray | None] = [None] * len(resolved)
         n_aligns: list[np.ndarray | None] = [None] * len(resolved)
 
-        # plane layout (K, cb, n): every nibble pass is a long
-        # contiguous lane run, which is what the fused ops stream
-        na_p = np.ascontiguousarray(
-            a_nib[start:stop].reshape(-1, n, k_total).transpose(2, 0, 1),
-            dtype=np.int32)
-        nb_p = np.ascontiguousarray(
-            b_nib[start:stop].reshape(-1, n, k_total).transpose(2, 0, 1),
-            dtype=np.int32)
-        np.negative(na_p, out=na_p, where=neg[None, :, :])
+        # signed nibble planes (K, ..., n) at each operand's own shape; the
+        # product tensor broadcasts them to the chunk shape
+        na_p = a_fixed if a_fixed is not None else _signed_planes(
+            a_sign[start:stop], a_nib[start:stop], bufs, "planes_a")
+        nb_p = b_fixed if b_fixed is not None else _signed_planes(
+            b_sign[start:stop], b_nib[start:stop], bufs, "planes_b")
         groups: dict[type, list[tuple[int, _ResolvedPoint]]] = {}
         for idx, r in enumerate(resolved):
             dtype = _as_dtype(work_dtype) or r.work_dtype(n)
             if r.multi_cycle:
                 regs[idx], n_aligns[idx] = _mc_fused(
-                    na_p, nb_p, shifts, safe_shift, r, frac, k_total, dtype, bufs)
+                    na_p, nb_p, chunk_shape, shifts, safe_shift, r, frac, k_total,
+                    dtype, bufs)
             else:
                 groups.setdefault(dtype, []).append((idx, r))
         for dtype, members in groups.items():
             _single_cycle_fused(
-                na_p, nb_p, shifts, safe_shift, members, frac, k_total,
+                na_p, nb_p, chunk_shape, shifts, safe_shift, members, frac, k_total,
                 dtype, bufs, regs)
 
         for idx, r in enumerate(resolved):
@@ -451,18 +459,77 @@ def _as_dtype(work_dtype):
 
 def _broadcast_plan(plan: PackedOperands, shape: tuple[int, ...]):
     """Zero-copy views of the plan arrays broadcast to the pair shape."""
-    nd = len(shape)
-    sign, exp, nib = plan.sign, plan.exp, plan.nibbles
-    pad = nd - sign.ndim
-    if pad:
-        sign = sign.reshape((1,) * pad + sign.shape)
-        exp = exp.reshape((1,) * pad + exp.shape)
-        nib = nib.reshape((1,) * pad + nib.shape)
+    sign, exp, nib = _padded(plan, len(shape))
     return (
         np.broadcast_to(sign, shape),
         np.broadcast_to(exp, shape),
         np.broadcast_to(nib, shape + (plan.k_total,)),
     )
+
+
+def _padded(plan: PackedOperands, nd: int):
+    """The plan arrays with leading length-1 axes up to ``nd`` lead+lane axes."""
+    pad = nd - plan.sign.ndim
+    lead = (1,) * pad
+    return (plan.sign.reshape(lead + plan.sign.shape),
+            plan.exp.reshape(lead + plan.exp.shape),
+            plan.nibbles.reshape(lead + plan.nibbles.shape))
+
+
+def _operand_view(plan: PackedOperands, nd: int):
+    """The plan arrays at the operand's own shape: padded to ``nd`` axes,
+    with every broadcast (stride-0) axis shrunk back to length 1.
+
+    Broadcast views (an executor slab, say) then cost no more to prepare
+    than the plan they were broadcast from.
+    """
+    arrays = _padded(plan, nd)
+    own = tuple(
+        slice(0, 1) if all(a.strides[i] == 0 for a in arrays) else slice(None)
+        for i in range(nd)
+    )
+    return tuple(a[own] for a in arrays)
+
+
+def _rows_of(arr: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of axis 0, or the one row of a broadcast operand."""
+    return arr if arr.shape[0] == 1 else arr[start:stop]
+
+
+def _signed_planes(sign, nib, bufs, tag) -> np.ndarray:
+    """Signed int32 nibble planes ``(K, ..., n)``: digit times ``(-1)**sign``.
+
+    Signing each operand alone gives the old product sign exactly
+    (``(-1)**sa * na * (-1)**sb * nb``). The sign multiply runs in int8
+    (digits are < 16) inside the transposing int32 cast, so preparing both
+    operands costs two passes, no more than casting them.
+    """
+    planes = bufs.get((nib.shape[-1],) + sign.shape, np.int32, tag)
+    factor = np.where(sign, np.int8(-1), np.int8(1))
+    np.multiply(np.moveaxis(nib.view(np.int8), -1, 0), factor, out=planes)
+    return planes
+
+
+def _product(na_p, nb_p, chunk_shape, up, dtype, bufs) -> np.ndarray:
+    """The pass-product tensor ``(K, K, cb, n)`` of one chunk in the work
+    dtype, pre-shifted left by ``up``.
+
+    The operand planes broadcast to the chunk shape. The pre-shift goes on
+    the smaller plane set: it scales the integer product either way.
+    """
+    planes = [na_p, nb_p]
+    small = 0 if na_p.size <= nb_p.size else 1
+    for i, p in enumerate(planes):
+        shift = up if i == small else 0
+        if shift or p.dtype != dtype:
+            planes[i] = np.left_shift(p, shift, out=bufs.get(p.shape, dtype, f"work_{i}"),
+                                      dtype=dtype)
+    k_total = na_p.shape[0]
+    cb = int(np.prod(chunk_shape[:-1], dtype=np.int64))
+    prod = bufs.get((k_total, k_total, cb, chunk_shape[-1]), dtype, "prod")
+    np.multiply(planes[0][:, None], planes[1][None, :],
+                out=prod.reshape((k_total, k_total) + chunk_shape))
+    return prod
 
 
 def _diagonal_pairs(d: int, k_total: int):
@@ -474,9 +541,9 @@ def _diagonal_pairs(d: int, k_total: int):
 class _ChunkBuffers:
     """Work-buffer pool shared across all chunks and points of one call.
 
-    Keyed by (shape, dtype, tag) so the product tensor, its scratch twin,
-    and the tree accumulator each persist across iterations instead of
-    being reallocated per pass.
+    Keyed by (shape, dtype, tag) so the operand planes, the product
+    tensor, its scratch twin, and the tree accumulator each persist across
+    iterations instead of being reallocated per pass.
     Buffers are handed out as-is — every consumer fully overwrites what it
     reads — so reuse cannot alias into results.
     """
@@ -486,7 +553,7 @@ class _ChunkBuffers:
     def __init__(self):
         self._pool: dict = {}
 
-    def get(self, shape, dtype, tag=0) -> np.ndarray:
+    def get(self, shape, dtype, tag: str) -> np.ndarray:
         key = (shape, np.dtype(dtype), tag)
         buf = self._pool.get(key)
         if buf is None:
@@ -511,8 +578,8 @@ def _register_from_trees(trees, k_total, frac, sp, coarse, register):
             register += tree_d << shift_left
 
 
-def _single_cycle_fused(na_p, nb_p, shifts, safe_shift, members, frac, k_total,
-                        dtype, bufs, out_regs):
+def _single_cycle_fused(na_p, nb_p, chunk_shape, shifts, safe_shift, members, frac,
+                        k_total, dtype, bufs, out_regs):
     """All single-cycle points of one work dtype from one product tensor.
 
     The product is formed once at the group's highest safe precision
@@ -528,22 +595,13 @@ def _single_cycle_fused(na_p, nb_p, shifts, safe_shift, members, frac, k_total,
     up_top, down_top = max(sp_top, 0), max(-sp_top, 0)
     cap = 31 if dtype is np.int32 else 63
 
-    na_g = bufs.get((k_total, cb, n), dtype)
-    np.copyto(na_g, na_p, casting="unsafe")
-    if up_top:
-        na_g <<= up_top
-    nb_g = nb_p
-    if nb_p.dtype != np.dtype(dtype):
-        nb_g = bufs.get((k_total, cb, n), dtype, tag=1)
-        np.copyto(nb_g, nb_p, casting="unsafe")
-    prod = bufs.get((k_total, k_total, cb, n), dtype)
-    np.multiply(na_g[:, None], nb_g[None, :], out=prod)
+    prod = _product(na_p, nb_p, chunk_shape, up_top, dtype, bufs)
     # dead shifts (>= 9 + up) all floor to 0/-1; clamping at the dtype's
     # shift limit keeps the count defined without changing any result bit
     rs = np.minimum(safe_shift + down_top, cap).astype(dtype)
     np.right_shift(prod, rs[None, None], out=prod)
 
-    trees = bufs.get((k_total, k_total, cb), dtype)
+    trees = bufs.get((k_total, k_total, cb), dtype, "trees")
     sp_cur = sp_top
     for idx, r in members:
         delta = min(sp_cur - r.sp, cap)
@@ -570,7 +628,8 @@ def _pair_headroom(n: int, up: int, sp: int, dtype) -> bool:
     return up + sp <= cap_bits and (n * _PRODUCT_MAG) << (up + sp) < bound
 
 
-def _mc_fused(na_p, nb_p, shifts, safe_shift, r, frac, k_total, dtype, bufs):
+def _mc_fused(na_p, nb_p, chunk_shape, shifts, safe_shift, r, frac, k_total, dtype,
+              bufs):
     """Fused MC serve-loop kernel: product hoisted out of the cycle loop,
     two cycles per numpy op when the packed words fit (``_pair_headroom``).
 
@@ -592,20 +651,11 @@ def _mc_fused(na_p, nb_p, shifts, safe_shift, r, frac, k_total, dtype, bufs):
     n_align = np.maximum(cyc.max(axis=1, initial=-1), 0) + 1
     max_cycles = int(n_align.max(initial=1))
 
-    na_g = bufs.get((k_total, cb, n), dtype)
-    np.copyto(na_g, na_p, casting="unsafe")
-    if up:
-        na_g <<= up
-    nb_g = nb_p
-    if nb_p.dtype != np.dtype(dtype):
-        nb_g = bufs.get((k_total, cb, n), dtype, tag=1)
-        np.copyto(nb_g, nb_p, casting="unsafe")
-    prod = bufs.get((k_total, k_total, cb, n), dtype)
-    np.multiply(na_g[:, None], nb_g[None, :], out=prod)
+    prod = _product(na_p, nb_p, chunk_shape, up, dtype, bufs)
 
     pair_fits = _pair_headroom(n, up, sp, dtype)
-    shifted = bufs.get((k_total, k_total, cb, n), dtype, tag=1)
-    trees = bufs.get((k_total, k_total, cb), dtype)
+    shifted = bufs.get((k_total, k_total, cb, n), dtype, "shifted")
+    trees = bufs.get((k_total, k_total, cb), dtype, "trees")
     register = np.zeros(cb, dtype=np.int64)
 
     def floor_passes(cn: int) -> int:

@@ -163,7 +163,7 @@ class TestProcessParity:
         assert serial.points == parallel.points
 
     def test_emulated_conv_through_process_backend(self, process_session):
-        """The per-channel conv loop engages the pool and stays bit-exact."""
+        """The one-call conv engages the pool and stays bit-exact."""
         from repro.analysis.accuracy import emulated_conv2d
 
         rng = np.random.default_rng(20)
@@ -272,38 +272,12 @@ class TestSharedMemoryCleanup:
         """Segments registered but never unlinked (crash path) die at close."""
         ex = make_executor("process", 2)
         a, _ = operands(batch=64, n=8)
-        desc, deferred = ex._export(pack_operands(a))
-        assert not deferred
+        desc = ex._export(pack_operands(a))
         assert ex.live_segments == [desc["name"]]
         ex.close()
         assert ex.live_segments == []
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=desc["name"])
-
-    def test_kernel_scope_exports_shared_plan_once(self, process_session):
-        """Per-channel loops ship a reused plan to the workers one time."""
-        a, b = operands(batch=6000, n=8, seed=14)
-        with EmulationSession() as serial:
-            pa, pb = serial.pack(a), serial.pack(b)
-            want = [serial.inner_product(pa, b_row.reshape(1, -1), 16)
-                    for b_row in b[:3]]
-        s = process_session
-        ex = s.executor
-        before = ex.shm_bytes_tx
-        pa = s.pack(a)
-        from repro.ipu.engine import KernelPoint
-
-        with s.kernel_scope():
-            rows = [s.run_kernels(pa, s.pack(b[ch:ch + 1]), [KernelPoint(16)])[0]
-                    for ch in range(3)]
-            assert ex.live_segments  # pinned until scope exit
-        assert ex.live_segments == []  # unlinked at scope exit
-        # one export of the big activation plan + one tiny row plan per call
-        # (tx only: result blocks are counted separately in shm_bytes_rx)
-        big_plan_bytes = pa.sign.nbytes + pa.exp.nbytes + pa.nibbles.nbytes
-        assert ex.shm_bytes_tx - before < 2 * big_plan_bytes
-        for got, ref in zip(rows, want):
-            assert np.array_equal(got.values, ref.values)
 
 
 # -- zero-copy result blocks -----------------------------------------------------

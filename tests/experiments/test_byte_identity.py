@@ -3,9 +3,11 @@
 The golden files under ``golden/`` were rendered by the pre-DesignSession
 implementations (direct ``tile_cost``/``simulate_network``/
 ``design_efficiency`` calls) at reduced sample counts; ``fig10_big.txt``
-was rendered by the per-tile simulator before batched sampling. The
-rewired drivers must reproduce them byte for byte: the session and the
-batched simulator only remove repeated work, never change a number.
+was rendered by the per-tile simulator before batched sampling, and
+``quick/accuracy.txt`` by the one-call-per-output-channel emulated
+convolution. The rewired drivers must reproduce them byte for byte: the
+session, the batched simulator and the batched convolution only remove
+repeated work, never change a number.
 """
 
 from pathlib import Path
@@ -72,3 +74,16 @@ def test_fig10_big_tile_render_byte_identical():
 
     out = fig10.render(fig10.run(samples=48, rng=4, tiles=(BIG_TILE,)))
     assert out + "\n" == golden_text("fig10_big.txt")
+
+
+@pytest.mark.slow
+def test_accuracy_quick_run_byte_identical(capsys):
+    """``runner accuracy --quick`` (training plus every emulated conv) still
+    prints the committed quick golden; the ``[bracketed]`` timing footer is
+    the only permitted difference."""
+    from repro.experiments.runner import main
+
+    assert main(["accuracy", "--quick"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    out = "".join(line for line in lines if not line.startswith("["))
+    assert out == golden_text("quick/accuracy.txt")

@@ -79,11 +79,42 @@ class TestTraceFlag:
         assert "cannot write trace" in capsys.readouterr().err
 
 
+class TestNamedExperiments:
+    def test_trace_keeps_output_and_spans_each_experiment(self, tmp_path, capsys):
+        argv = ["fig7", "table1", "--quick"]
+        assert main(argv) == 0
+        plain = _result_lines(capsys.readouterr().out)
+
+        trace_path = tmp_path / "trace.json"
+        assert main(argv + ["--trace", str(trace_path)]) == 0
+        traced_out = capsys.readouterr().out
+        assert _result_lines(traced_out) == plain
+        assert "[trace " in traced_out
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        by_id = {e["args"]["span_id"]: e for e in events}
+        roots = [e for e in events if e["args"]["parent_id"] not in by_id]
+        assert len(roots) == 1 and roots[0]["name"] == "runner"
+        assert roots[0]["args"]["mode"] == "experiment"
+        spans = [e for e in events if e["name"].startswith("experiment.")]
+        assert [e["name"] for e in spans] == ["experiment.fig7", "experiment.table1"]
+        assert all(by_id[e["args"]["parent_id"]]["name"] == "runner" for e in spans)
+
+    def test_profile_on_all_is_accepted(self, capsys, monkeypatch):
+        from repro.experiments import runner
+
+        fast = {name: runner.EXPERIMENTS[name] for name in ("fig7", "fig9")}
+        monkeypatch.setattr(runner, "EXPERIMENTS", fast)
+        assert main(["--all", "--quick", "--profile"]) == 0
+        out = capsys.readouterr().out
+        tree = out[out.index("phase "):]
+        assert "experiment.fig7" in tree and "experiment.fig9" in tree
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize("argv", [
         ["--serve", "--trace", "t.json"],
         ["--verify-store", "x", "--trace", "t.json"],
-        ["fig3", "--trace", "t.json"],
+        ["--trace", "t.json"],
         ["--serve", "--profile"],
         ["--profile"],
     ])
