@@ -12,7 +12,7 @@ Outputs:
 
 - ``BENCH_kernels.json``  — kernel microbenchmarks (single + MC), the
   forced-int64 work-dtype row, the
-  session-vs-direct-engine overhead row, serial-vs-thread-vs-process
+  session-vs-direct-engine overhead row, serial-vs-thread
   backend scaling rows for emulation *and* design sweeps (with session
   stats proving the pools engaged; ``cpus`` recorded honestly per row
   from the scheduler affinity mask, and sub-1x pool rows flagged — not
@@ -186,10 +186,9 @@ def bench_session(repeats):
     The overhead row compares one cold single-threaded session call against
     the direct engine path on the standard microbenchmark batch (the session
     adds a content fingerprint + registry resolution). The backend rows run
-    a large multi-point sweep through every execution backend at the same
-    worker count; all paths must be bit-identical, and the process row's
-    session stats must show the pool actually engaged (tasks dispatched,
-    shared-memory bytes shipped).
+    a large multi-point sweep through the thread backend; it must be
+    bit-identical to serial, and its session stats must show the pool
+    actually engaged (tasks dispatched).
     """
     rng = np.random.default_rng(1)
     a = rng.laplace(0, 1, (KERNEL_BATCH, 16))
@@ -218,31 +217,27 @@ def bench_session(repeats):
     serial_s, (serial_res, _) = _best_of(lambda: run_with("serial", 1), repeats)
     cpus = _cpus()
     workers = max(2, min(4, cpus))  # exercise the pools even on 1-core hosts
-    for backend, row in (("thread", "worker_pool_sweep"),
-                         ("process", "process_pool_sweep")):
-        par_s, (par_res, stats) = _best_of(lambda: run_with(backend, workers), repeats)
-        identical = all(
-            np.array_equal(s.values, p.values) and np.array_equal(s.rounded, p.rounded)
-            for s, p in zip(serial_res, par_res)
-        )
-        engaged = stats["tasks_dispatched"] > 0 and (
-            backend != "process" or stats["shm_bytes"] > 0)
-        speedup = round(serial_s / par_s, 2)
-        out[row] = {
-            "batch": 120000, "n": 16, "points": [p.adder_width for p in points],
-            "backend": backend, "workers": workers, "cpus": cpus,
-            "serial_seconds": round(serial_s, 4),
-            "parallel_seconds": round(par_s, 4),
-            "speedup": speedup,
-            # sub-1x with more workers than cores is pool overhead, not a
-            # regression: flagged for the reader, never failed
-            "subscale": bool(speedup < 1.0),
-            "tasks_dispatched": stats["tasks_dispatched"],
-            "shm_bytes": stats["shm_bytes"],
-            "pool_engaged": bool(engaged),
-            "identical": bool(identical),
-        }
-        assert engaged, f"{backend} pool did not engage"
+    par_s, (par_res, stats) = _best_of(lambda: run_with("thread", workers), repeats)
+    identical = all(
+        np.array_equal(s.values, p.values) and np.array_equal(s.rounded, p.rounded)
+        for s, p in zip(serial_res, par_res)
+    )
+    engaged = stats["tasks_dispatched"] > 0
+    speedup = round(serial_s / par_s, 2)
+    out["worker_pool_sweep"] = {
+        "batch": 120000, "n": 16, "points": [p.adder_width for p in points],
+        "backend": "thread", "workers": workers, "cpus": cpus,
+        "serial_seconds": round(serial_s, 4),
+        "parallel_seconds": round(par_s, 4),
+        "speedup": speedup,
+        # sub-1x with more workers than cores is pool overhead, not a
+        # regression: flagged for the reader, never failed
+        "subscale": bool(speedup < 1.0),
+        "tasks_dispatched": stats["tasks_dispatched"],
+        "pool_engaged": bool(engaged),
+        "identical": bool(identical),
+    }
+    assert engaged, "thread pool did not engage"
     return out
 
 
@@ -307,9 +302,8 @@ def bench_design_space(repeats):
     costing, and numerics sweep computed); warm re-sweeps the same session
     (everything served from the value-keyed caches). Reports must compare
     equal — the caches return exactly what a re-computation would. The
-    backend rows repeat the cold sweep through the thread and process
-    backends (cold is where fan-out matters: a warm sweep is all cache
-    hits).
+    backend row repeats the cold sweep through the thread backend (cold is
+    where fan-out matters: a warm sweep is all cache hits).
     """
     spec = DesignSweepSpec.grid(name="table1-grid", designs=tuple(DESIGNS),
                                 tiles=("small",), samples=96, rng=41)
@@ -336,22 +330,19 @@ def bench_design_space(repeats):
     }
     cpus = _cpus()
     workers = max(2, min(4, cpus))
-    for backend in ("thread", "process"):
-        par_s, (par_reports, stats) = _best_of(
-            lambda: cold(backend, workers), repeats)
-        speedup = round(cold_s / par_s, 2)
-        out[f"design_sweep_{backend}"] = {
-            "points": len(spec.points()), "samples": spec.samples,
-            "backend": backend, "workers": workers, "cpus": cpus,
-            "serial_seconds": round(cold_s, 4),
-            "parallel_seconds": round(par_s, 4),
-            "speedup": speedup,
-            "subscale": bool(speedup < 1.0),
-            "tasks_dispatched": stats["tasks_dispatched"],
-            "shm_bytes": stats["shm_bytes"],
-            "pool_engaged": stats["tasks_dispatched"] > 0,
-            "identical": bool(par_reports == cold_reports),
-        }
+    par_s, (par_reports, stats) = _best_of(lambda: cold("thread", workers), repeats)
+    speedup = round(cold_s / par_s, 2)
+    out["design_sweep_thread"] = {
+        "points": len(spec.points()), "samples": spec.samples,
+        "backend": "thread", "workers": workers, "cpus": cpus,
+        "serial_seconds": round(cold_s, 4),
+        "parallel_seconds": round(par_s, 4),
+        "speedup": speedup,
+        "subscale": bool(speedup < 1.0),
+        "tasks_dispatched": stats["tasks_dispatched"],
+        "pool_engaged": stats["tasks_dispatched"] > 0,
+        "identical": bool(par_reports == cold_reports),
+    }
     return out
 
 

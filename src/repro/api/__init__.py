@@ -7,13 +7,13 @@ The stable front door to the repo's emulation *and* design-space stacks::
     spec = RunSpec.grid(precisions=(8, 12, 16, 28),
                         accumulators=("fp16", "fp32"),
                         sources=("laplace", "normal"), batch=4000)
-    with EmulationSession(workers=4, backend="process") as session:
+    with EmulationSession(workers=4, backend="thread") as session:
         sweep = session.sweep(spec)           # decode once, run every point
         res = session.inner_product(a, b, 16) # ad-hoc kernels share the cache
         for lo, hi, chunk in session.fp_ip_points_iter(a, b, [16]):
             ...                               # streaming, bounded memory
 
-Execution backends (:mod:`repro.api.executor`: serial / thread / process)
+Execution backends (:mod:`repro.api.executor`: serial / thread)
 are bit-identical — pick per session, per spec (``"executor"`` field), or
 per replay (``runner --backend``).
 

@@ -84,10 +84,7 @@ class DesignSessionStats:
     """Per-cache hit/miss counters plus executor telemetry.
 
     ``backend``/``workers`` describe the sweep fan-out backend;
-    ``tasks_dispatched`` counts design points actually handed to a pool and
-    ``shm_bytes`` the executor's shared-memory traffic (design sweeps ship
-    points, not plans, so this stays 0 unless the embedded emulation's
-    executor is shared).
+    ``tasks_dispatched`` counts design points actually handed to a pool.
     """
 
     hits: dict = field(default_factory=dict)
@@ -95,7 +92,6 @@ class DesignSessionStats:
     backend: str = "serial"
     workers: int = 1
     tasks_dispatched: int = 0
-    shm_bytes: int = 0
 
     def note(self, kind: str, hit: bool) -> None:
         bucket = self.hits if hit else self.misses
@@ -104,8 +100,7 @@ class DesignSessionStats:
     def as_dict(self) -> dict:
         return {"hits": dict(self.hits), "misses": dict(self.misses),
                 "backend": self.backend, "workers": self.workers,
-                "tasks_dispatched": self.tasks_dispatched,
-                "shm_bytes": self.shm_bytes}
+                "tasks_dispatched": self.tasks_dispatched}
 
 
 @dataclass(frozen=True)
@@ -248,31 +243,6 @@ def pareto_frontier(items, x, y, within=None) -> list:
     return front
 
 
-# Per-worker-process design session for process-backend sweeps: one session
-# per (accuracy-template) so its value-keyed caches persist across every task
-# the worker receives, mirroring the thread backend's shared-cache behavior
-# within each process.
-_WORKER_SESSION: "tuple[str, DesignSession] | None" = None
-
-
-def _evaluate_design_task(payload) -> "DesignReport":
-    """Process-pool task: evaluate one serialized DesignPoint.
-
-    The payload is ``(point_dict, accuracy_spec_dict)`` — both plain JSON
-    dicts, so the task pickles small no matter how heavy the evaluation is.
-    Everything here is deterministic, so per-process caches return exactly
-    what the parent's would.
-    """
-    global _WORKER_SESSION
-    point_dict, accuracy_dict = payload
-    key = repr(sorted(accuracy_dict.items(), key=lambda kv: kv[0]))
-    if _WORKER_SESSION is None or _WORKER_SESSION[0] != key:
-        if _WORKER_SESSION is not None:
-            _WORKER_SESSION[1].close()
-        _WORKER_SESSION = (key, DesignSession(accuracy=RunSpec.from_dict(accuracy_dict)))
-    return _WORKER_SESSION[1].evaluate(DesignPoint.from_dict(point_dict))
-
-
 @contextmanager
 def use_session(session: "DesignSession | None" = None):
     """Yield ``session``, or create a temporary one and close it after.
@@ -312,11 +282,8 @@ class DesignSession:
         resolved :class:`PrecisionPoint`).
     backend:
         Sweep fan-out backend (:mod:`repro.api.executor`): ``"serial"`` /
-        ``"thread"`` / ``"process"``, a spec, or a spec dict. ``None``
-        keeps the historical convention (threads when ``workers > 1``).
-        The process backend evaluates points in per-worker sessions —
-        caches are per process, but every computation is deterministic, so
-        reports are identical to a serial sweep.
+        ``"thread"``, a spec, or a spec dict. ``None`` keeps the historical
+        convention (threads when ``workers > 1``).
     store:
         A :class:`repro.store.ResultStore` (or a directory path) persisting
         whole :class:`DesignReport`\\ s across processes, keyed by the
@@ -353,7 +320,7 @@ class DesignSession:
             self, lambda session: session.stats.as_dict(),
             prefix="repro_design",
             labels={"instance": REGISTRY.next_instance("design")},
-            counters={"hits", "misses", "tasks_dispatched", "shm_bytes"})
+            counters={"hits", "misses", "tasks_dispatched"})
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -696,11 +663,10 @@ class DesignSession:
         explicit point lists) overrides the session's accuracy protocol
         template for the whole sweep — the per-rung fidelity knob of
         :mod:`repro.search`. With ``workers > 1`` the points fan out across
-        the execution backend. On the thread backend the in-flight-
-        deduplicating caches guarantee shared simulations run once; on the
-        process backend each worker process owns a long-lived session whose
-        caches persist across its tasks. Reports come back in spec order,
-        identical to a serial sweep (every computation is deterministic).
+        the execution backend, whose in-flight-deduplicating caches
+        guarantee shared simulations run once. Reports come back in spec
+        order, identical to a serial sweep (every computation is
+        deterministic).
         """
         with trace_span("design.sweep", backend=self.executor.name):
             return self._sweep_impl(spec, accuracy)
@@ -722,20 +688,11 @@ class DesignSession:
                                               for p in points]
         missing = [i for i, r in enumerate(reports) if r is None]
         if missing:
-            todo = [points[i] for i in missing]
-            if self.executor.name == "process":
-                template = self.accuracy_spec if accuracy is None else accuracy
-                accuracy_dict = template.to_dict()
-                payloads = [(p.to_dict(), accuracy_dict) for p in todo]
-                fresh = self.executor.map_tasks(_evaluate_design_task, payloads)
-                for i, report in zip(missing, fresh):
-                    # worker sessions have no store; persist from the parent
-                    self._save_report(points[i], report, accuracy)
-            else:
-                # the prefetch above already consulted the store once per
-                # point; dispatch the compute half only
-                fresh = self.executor.map(
-                    lambda p: self._evaluate_fresh(p, accuracy), todo)
+            # the prefetch above already consulted the store once per
+            # point; dispatch the compute half only
+            fresh = self.executor.map(
+                lambda p: self._evaluate_fresh(p, accuracy),
+                [points[i] for i in missing])
             for i, report in zip(missing, fresh):
                 reports[i] = report
         self.stats.tasks_dispatched = self.executor.tasks_dispatched

@@ -10,10 +10,9 @@ re-create per call:
 - a **weight-plan cache** for the convolution path (keyed by array identity,
   see :func:`repro.analysis.accuracy.weight_plan`);
 - a pluggable **execution backend** (:mod:`repro.api.executor`: ``serial`` /
-  ``thread`` / ``process``) that splits large batches chunk-granularly —
-  rows are independent, so every backend is bit-exact with serial execution
-  (verified by the test suite). The process backend ships operand planes
-  through shared memory instead of re-pickling plans per task.
+  ``thread``) that splits large batches chunk-granularly — rows are
+  independent, so every backend is bit-exact with serial execution
+  (verified by the test suite).
 
 High-level methods cover the repo's workloads: :meth:`inner_product` /
 :meth:`inner_products` for kernel points, :meth:`fp_ip_points_iter` for
@@ -66,13 +65,8 @@ class SessionStats:
     """Plan-cache and executor counters (observability for sizing decisions).
 
     ``backend``/``workers`` describe the execution backend;
-    ``tasks_dispatched`` counts tasks actually handed to a pool and
-    ``shm_bytes`` the cumulative shared-memory traffic
-    (process backend only), split into ``shm_bytes_tx`` (operand plans out)
-    and ``shm_bytes_rx`` (result blocks back). ``results_pickled`` counts
-    kernel outputs that crossed the process boundary as pickles — the
-    zero-copy result path keeps it at 0 (asserted by the parity tests).
-    Benchmark JSON asserts on these to prove the pool engaged.
+    ``tasks_dispatched`` counts tasks actually handed to a pool (benchmark
+    JSON asserts on it to prove the pool engaged).
     """
 
     plan_hits: int = 0
@@ -84,12 +78,6 @@ class SessionStats:
     backend: str = "serial"
     workers: int = 1
     tasks_dispatched: int = 0
-    shm_bytes: int = 0
-    shm_bytes_tx: int = 0
-    shm_bytes_rx: int = 0
-    results_pickled: int = 0
-    worker_restarts: int = 0
-    chunks_redispatched: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -99,9 +87,7 @@ class SessionStats:
 # descriptive strings); shared by the metrics adapter below.
 _SESSION_COUNTERS = frozenset({
     "plan_hits", "plan_misses", "plan_evictions", "kernel_rows",
-    "parallel_batches", "tasks_dispatched", "shm_bytes", "shm_bytes_tx",
-    "shm_bytes_rx", "results_pickled", "worker_restarts",
-    "chunks_redispatched",
+    "parallel_batches", "tasks_dispatched",
 })
 
 
@@ -179,7 +165,7 @@ class EmulationSession:
         executor's task splitting. ``None`` auto-sizes from
         :data:`repro.ipu.engine.DEFAULT_CHUNK_ELEMENTS`.
     backend:
-        Execution backend: ``"serial"`` / ``"thread"`` / ``"process"``, an
+        Execution backend: ``"serial"`` / ``"thread"``, an
         :class:`repro.api.executor.ExecutorSpec`, or a spec dict. ``None``
         keeps the historical convention — threads when ``workers > 1``,
         serial otherwise.
@@ -231,14 +217,7 @@ class EmulationSession:
         self._closed = True
 
     def _sync_executor_stats(self) -> None:
-        # every backend exposes the full counter set (no getattr fallbacks)
         self.stats.tasks_dispatched = self.executor.tasks_dispatched
-        self.stats.shm_bytes = self.executor.shm_bytes
-        self.stats.shm_bytes_tx = self.executor.shm_bytes_tx
-        self.stats.shm_bytes_rx = self.executor.shm_bytes_rx
-        self.stats.results_pickled = self.executor.results_pickled
-        self.stats.worker_restarts = self.executor.worker_restarts
-        self.stats.chunks_redispatched = self.executor.chunks_redispatched
 
     def __enter__(self) -> "EmulationSession":
         return self
@@ -410,7 +389,7 @@ class EmulationSession:
         leading axis. Peak extra memory is one block's outputs plus the
         engine's work buffers — O(chunk_rows x kernels), independent of the
         total batch size. Each block still runs through the execution
-        backend, so a process/thread pool parallelizes within blocks.
+        backend, so a thread pool parallelizes within blocks.
         """
         if self._closed:
             raise RuntimeError("session is closed")

@@ -123,7 +123,7 @@ class RunSpec:
     summed into one longer dot before the error statistics.
 
     ``executor`` optionally pins an execution backend
-    (``{"backend": "process", "workers": 8}`` or a bare backend name), so a
+    (``{"backend": "thread", "workers": 8}`` or a bare backend name), so a
     committed spec JSON replays with the backend it was measured with. The
     field is applied by the replay drivers (``runner --spec``, whose
     ``--backend``/``--workers`` flags override it); library callers choose

@@ -2,10 +2,10 @@
 resilience primitives it exercises.
 
 :class:`FaultPlan` is a JSON-round-trippable schedule of faults
-(``worker-crash@chunk:K``, ``store-corrupt@put:N``, ``endpoint-timeout@shard:J``,
+(``store-corrupt@put:N``, ``endpoint-timeout@shard:J``,
 ``conn-reset@request:M``, ``slow-response@p``) that an armed
 :class:`ChaosEngine` injects through explicit hooks at each layer boundary
-(executor, store, client, fleet, service). The recovery machinery —
+(store, client, fleet, service). The recovery machinery —
 :class:`RetryPolicy`, :class:`CircuitBreaker`, the retryable-vs-fatal error
 taxonomy — lives here too so every layer hardens against the same faults the
 engine can inject. Arm a plan from the CLI with ``runner ... --chaos plan.json``;

@@ -4,8 +4,6 @@ A :class:`FaultPlan` is a list of :class:`Fault` entries plus a seed for the
 probabilistic faults. Faults are written in a compact grammar (also accepted
 as structured dicts)::
 
-    worker-crash@chunk:K      kill the process-pool worker running the K-th
-                              dispatched chunk (0-based, counted per process)
     store-corrupt@put:N       corrupt the bytes of the N-th store put on disk
                               after it commits
     endpoint-timeout@shard:J  fail the fleet dispatch of shard J with a
@@ -32,7 +30,6 @@ __all__ = ["Fault", "FaultPlan", "FAULT_KINDS", "SITE_BY_KIND"]
 # kind -> injection site(s). Sites name the layer-boundary hooks; see
 # repro.chaos.engine for where each hook is called from.
 SITE_BY_KIND = {
-    "worker-crash": ("executor.chunk",),
     "store-corrupt": ("store.put",),
     "endpoint-timeout": ("fleet.shard",),
     "conn-reset": ("client.request",),
@@ -41,9 +38,8 @@ SITE_BY_KIND = {
 
 FAULT_KINDS = tuple(SITE_BY_KIND)
 
-# kind -> the counter label used in the grammar (worker-crash@chunk:K).
+# kind -> the counter label used in the grammar (store-corrupt@put:N).
 _LABEL_BY_KIND = {
-    "worker-crash": "chunk",
     "store-corrupt": "put",
     "endpoint-timeout": "shard",
     "conn-reset": "request",
@@ -102,7 +98,7 @@ class Fault:
 
     @classmethod
     def parse(cls, text: str) -> "Fault":
-        """Parse the compact grammar, e.g. ``worker-crash@chunk:2`` or
+        """Parse the compact grammar, e.g. ``store-corrupt@put:2`` or
         ``conn-reset@request:0x3`` or ``slow-response@0.1``."""
         text = text.strip()
         if "@" not in text:

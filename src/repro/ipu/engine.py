@@ -220,50 +220,6 @@ class PackedOperands:
             self.nibbles.reshape(shape + (self.k_total,)),
         )
 
-    # -- compact codec (process-backend transport) ---------------------------
-
-    def to_buffers(self) -> tuple[dict, list[np.ndarray]]:
-        """``(meta, buffers)``: a JSON-safe descriptor plus the plan's three
-        arrays as contiguous buffers.
-
-        The inverse, :meth:`from_buffers`, reconstructs the plan as zero-copy
-        views into whatever memory the buffers were copied to — this is how
-        the process execution backend ships plans through
-        ``multiprocessing.shared_memory`` without re-pickling the (much
-        larger) decoded planes per task.
-        """
-        sign = np.ascontiguousarray(self.sign)
-        exp = np.ascontiguousarray(self.exp)
-        nib = np.ascontiguousarray(self.nibbles)
-        meta = {
-            "fmt": self.fmt.name,
-            "fields": [
-                ("sign", sign.shape, sign.dtype.str),
-                ("exp", exp.shape, exp.dtype.str),
-                ("nibbles", nib.shape, nib.dtype.str),
-            ],
-        }
-        return meta, [sign, exp, nib]
-
-    @classmethod
-    def from_buffers(cls, meta: dict, buffers) -> "PackedOperands":
-        """Rebuild a plan from :meth:`to_buffers` output without copying.
-
-        ``buffers`` are three buffer-protocol objects (bytes, memoryviews,
-        shared-memory slices) holding the sign/exp/nibble planes; the arrays
-        of the returned plan are views into them. The format is resolved by
-        name through :mod:`repro.fp.registry`, so custom registered formats
-        survive the trip as long as the receiving process shares the registry
-        (fork start method, or re-registration).
-        """
-        from repro.fp.registry import parse_format
-
-        arrays = [
-            np.frombuffer(buf, dtype=np.dtype(dstr)).reshape(shape)
-            for buf, (_, shape, dstr) in zip(buffers, meta["fields"])
-        ]
-        return cls(parse_format(meta["fmt"]), *arrays)
-
 
 def pack_operands(values: np.ndarray, fmt: FPFormat = FP16) -> PackedOperands:
     """Cast ``values`` into ``fmt`` and build its :class:`PackedOperands`."""
@@ -318,7 +274,6 @@ def fp_ip_points(
     points: list[KernelPoint],
     chunk_rows: int | None = None,
     work_dtype=None,
-    out: list[tuple[np.ndarray, ...]] | None = None,
 ) -> list[FPIPBatchResult]:
     """Run every kernel point against one operand pair, chunk by chunk.
 
@@ -327,13 +282,6 @@ def fp_ip_points(
     plans, say); the results carry the broadcast leading shape, but neither
     operand is ever copied out to it. ``work_dtype`` overrides the
     int32/int64 selection (testing hook).
-
-    ``out``, when given, is one 5-tuple of preallocated flat arrays per
-    point — ``(values, rounded, max_exp, alignment_cycles, total_cycles)``,
-    each of length ``rows`` — and the kernel writes results directly into
-    them (the returned results are views). This is the zero-copy result
-    path of the process execution backend: workers write into
-    shared-memory views and nothing is pickled back.
     """
     if pa.fmt.name != pb.fmt.name:
         raise ValueError(f"operand formats differ: {pa.fmt.name} vs {pb.fmt.name}")
@@ -352,26 +300,10 @@ def fp_ip_points(
     a_sign, a_exp, a_nib = _operand_view(pa, len(shape))
     b_sign, b_exp, b_nib = _operand_view(pb, len(shape))
 
-    if out is None:
-        values = [np.empty(rows) for _ in resolved]
-        rounded = [np.empty(rows, np_float_dtype(r.point.acc_fmt)) for r in resolved]
-        max_exps = [np.empty(rows, np.int64) for _ in resolved]
-        aligns = [np.empty(rows, np.int64) for _ in resolved]
-        totals = None
-    else:
-        if len(out) != len(resolved):
-            raise ValueError(f"out holds {len(out)} slots for {len(resolved)} points")
-        for slot, r in zip(out, resolved):
-            if len(slot) != 5 or any(a.shape != (rows,) for a in slot):
-                raise ValueError("each out slot must be 5 flat arrays of length rows")
-            if slot[1].dtype != np_float_dtype(r.point.acc_fmt):
-                raise ValueError(
-                    f"out rounded dtype {slot[1].dtype} != {np_float_dtype(r.point.acc_fmt)}")
-        values = [slot[0] for slot in out]
-        rounded = [slot[1] for slot in out]
-        max_exps = [slot[2] for slot in out]
-        aligns = [slot[3] for slot in out]
-        totals = [slot[4] for slot in out]
+    values = [np.empty(rows) for _ in resolved]
+    rounded = [np.empty(rows, np_float_dtype(r.point.acc_fmt)) for r in resolved]
+    max_exps = [np.empty(rows, np.int64) for _ in resolved]
+    aligns = [np.empty(rows, np.int64) for _ in resolved]
 
     dim0 = shape[0]
     inner = rows // dim0 if dim0 else 0
@@ -433,8 +365,6 @@ def fp_ip_points(
             rounded[idx][r0:r1] = vals.astype(rounded[idx].dtype)
             max_exps[idx][r0:r1] = max_exp
             aligns[idx][r0:r1] = n_align
-            if totals is not None:
-                totals[idx][r0:r1] = n_align * (k_total * k_total)
 
     iterations = k_total * k_total
     return [
@@ -443,8 +373,7 @@ def fp_ip_points(
             rounded=rounded[i].reshape(lead),
             max_exp=max_exps[i].reshape(lead),
             alignment_cycles=aligns[i].reshape(lead),
-            total_cycles=(totals[i] if totals is not None
-                          else aligns[i] * iterations).reshape(lead),
+            total_cycles=(aligns[i] * iterations).reshape(lead),
         )
         for i in range(len(resolved))
     ]

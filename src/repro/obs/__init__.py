@@ -3,9 +3,7 @@
 Two halves, both ~zero-cost when disarmed:
 
 * :mod:`repro.obs.trace` — hierarchical spans with a Dapper-style trace id
-  that survives thread pools, process-pool workers (context shipped with the
-  task, spans merged back on return), and HTTP hops (``X-Repro-Trace``
-  header).  Disarmed, every hook is a single module-global load and ``None``
+  that survives thread pools and HTTP hops (``X-Repro-Trace`` header).  Disarmed, every hook is a single module-global load and ``None``
   check, mirroring ``repro.chaos``.
 * :mod:`repro.obs.metrics` — a pull-based registry (counters, gauges,
   histograms with fixed buckets) that existing stats objects register into

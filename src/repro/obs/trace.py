@@ -1,4 +1,4 @@
-"""Hierarchical spans with cross-thread / cross-process / cross-HTTP context.
+"""Hierarchical spans with cross-thread / cross-HTTP context.
 
 Design notes
 ------------
@@ -14,10 +14,9 @@ Design notes
 * **Propagation.**  Same-process thread pools use
   ``trace_capture()``/``trace_attach()`` (the captured state carries the
   current span reference *and* the active collectors, since thread-locals do
-  not follow work into a pool thread).  Process-pool workers and HTTP hops
-  ship a tiny *wire context* ``{"trace": ..., "span": ...}`` —
-  ``trace_wire()`` creates it, :meth:`Tracer.adopt` (or
-  :func:`worker_trace` inside a pool worker) re-parents under it.
+  not follow work into a pool thread).  HTTP hops ship a tiny *wire
+  context* ``{"trace": ..., "span": ...}`` — ``trace_wire()`` creates it,
+  :meth:`Tracer.adopt` re-parents under it.
 * **Telemetry never affects results.**  Span/trace ids are random, spans are
   excluded from every fingerprint, and nothing here touches operand or
   result buffers; byte-identity armed-vs-disarmed is asserted in
@@ -47,7 +46,6 @@ __all__ = [
     "trace_ingest",
     "trace_span",
     "trace_wire",
-    "worker_trace",
     "parse_trace_header",
     "format_trace_header",
     "TRACE_HEADER",
@@ -233,7 +231,7 @@ class Tracer:
 
     # -- propagation -----------------------------------------------------
     def wire_context(self) -> Optional[dict]:
-        """Picklable ``{"trace", "span"}`` for a process-pool task / header."""
+        """JSON-safe ``{"trace", "span"}`` for an HTTP header / job."""
         ctx = self._current_ctx()
         if ctx is None:
             return None
@@ -260,7 +258,7 @@ class Tracer:
 
     @contextlib.contextmanager
     def adopt(self, wire: Optional[dict], collector: Optional[list] = None):
-        """Adopt a cross-process/HTTP wire context, optionally collecting the
+        """Adopt an HTTP wire context, optionally collecting the
         spans finished on this thread while adopted."""
         tls = self._tls
         saved_stack, saved_coll = tls.stack, tls.collectors
@@ -273,7 +271,7 @@ class Tracer:
             tls.stack, tls.collectors = saved_stack, saved_coll
 
     def ingest(self, span_dicts: Iterable[dict]) -> int:
-        """Merge span dicts returned by a worker / remote service.
+        """Merge span dicts returned by a remote service.
 
         Duplicates (same span id — e.g. an in-process ``LocalEndpoint``
         whose spans were already recorded directly) are skipped.  Returns
@@ -389,33 +387,11 @@ def trace_attach(state: Optional[dict]):
 
 
 def trace_ingest(span_dicts: Optional[Iterable[dict]]) -> int:
-    """Merge worker/remote spans into the armed tracer (no-op disarmed)."""
+    """Merge remote spans into the armed tracer (no-op disarmed)."""
     t = _TRACER
     if t is None or not span_dicts:
         return 0
     return t.ingest(span_dicts)
-
-
-@contextlib.contextmanager
-def worker_trace(wire: Optional[dict]):
-    """Process-pool worker scope: arm a fresh local tracer adopted under
-    ``wire`` and yield the list that accumulates this task's span dicts.
-
-    A forked worker may have inherited the parent's armed tracer; it is
-    deliberately shadowed for the task so worker spans are shipped back
-    explicitly (and exactly once) rather than recorded into a copy the
-    parent never sees.
-    """
-    global _TRACER
-    prev = _TRACER
-    local = Tracer()
-    _TRACER = local
-    collected: list = []
-    try:
-        with local.adopt(wire, collector=collected):
-            yield collected
-    finally:
-        _TRACER = prev
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,12 @@ CONVS = [
 ]
 
 
-@pytest.fixture(scope="module", params=["serial", "thread", "process"])
+@pytest.fixture(scope="module", params=[("serial", 1), ("thread", 2), ("thread", 3)],
+                ids=["serial", "thread", "thread3"])
 def session(request):
-    """Every backend; the thread and process pools split each call's rows."""
-    workers = 1 if request.param == "serial" else 2
-    with EmulationSession(workers=workers, backend=request.param) as s:
+    """Every backend; the thread pool splits each call's rows evenly and unevenly."""
+    backend, workers = request.param
+    with EmulationSession(workers=workers, backend=backend) as s:
         yield s
 
 

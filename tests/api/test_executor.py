@@ -1,16 +1,16 @@
-"""Execution backends: process/serial bit-identity, streaming, shm hygiene."""
+"""Execution backends: thread/serial bit-identity, streaming, spec plumbing."""
 
+import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from multiprocessing import shared_memory
 
 from repro.api import EmulationSession, ExecutorSpec, PrecisionPoint, RunSpec
-from repro.api.executor import chunk_spans, make_executor
-from repro.ipu.engine import PackedOperands, pack_operands
+from repro.api.executor import chunk_spans
 
 
 def operands(batch=64, n=8, seed=0):
@@ -31,9 +31,9 @@ def assert_results_equal(got, want, ctx=""):
 
 
 @pytest.fixture(scope="module")
-def process_session():
-    """One process-backed session for the whole module (pool reuse)."""
-    with EmulationSession(workers=2, backend="process") as s:
+def thread_session():
+    """One thread-backed session for the whole module (pool reuse)."""
+    with EmulationSession(workers=2, backend="thread") as s:
         yield s
 
 
@@ -42,16 +42,16 @@ def process_session():
 class TestExecutorSpec:
     def test_round_trip_through_run_spec_json(self):
         spec = RunSpec(sources=("laplace",), points=(PrecisionPoint(16),),
-                       executor=ExecutorSpec("process", 8))
+                       executor=ExecutorSpec("thread", 8))
         again = RunSpec.from_json(spec.to_json())
         assert again == spec
-        assert again.executor == ExecutorSpec("process", 8)
+        assert again.executor == ExecutorSpec("thread", 8)
 
     def test_accepts_dict_and_bare_name(self):
         assert RunSpec(points=(PrecisionPoint(16),),
                        executor={"backend": "thread", "workers": 2}
                        ).executor == ExecutorSpec("thread", 2)
-        assert ExecutorSpec.from_dict("process") == ExecutorSpec("process")
+        assert ExecutorSpec.from_dict("thread") == ExecutorSpec("thread")
         assert ExecutorSpec.from_dict(None) == ExecutorSpec()
 
     def test_rejects_unknown_backend_and_bad_workers(self):
@@ -59,16 +59,31 @@ class TestExecutorSpec:
             ExecutorSpec("gpu")
         with pytest.raises(ValueError):
             ExecutorSpec("thread", 0)
+        # the process backend is gone; old specs naming it fail to load
+        with pytest.raises(ValueError, match="unknown executor backend"):
+            ExecutorSpec.from_dict("process")
 
     def test_merged_overrides(self):
         spec = ExecutorSpec("thread", 4)
-        assert spec.merged(backend="process") == ExecutorSpec("process", 4)
+        assert spec.merged(backend="serial") == ExecutorSpec("serial", 4)
         assert spec.merged(workers=2) == ExecutorSpec("thread", 2)
         assert spec.merged() == spec
 
     def test_session_accepts_spec_object(self):
-        with EmulationSession(backend=ExecutorSpec("process", 2)) as s:
-            assert s.stats.backend == "process" and s.stats.workers == 2
+        with EmulationSession(backend=ExecutorSpec("thread", 2)) as s:
+            assert s.stats.backend == "thread" and s.stats.workers == 2
+
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        """``workers=None`` sizes the pool to the CPUs this process may use,
+        not the machine's count; without an affinity API, the machine's."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert ExecutorSpec("thread").resolved_workers == 3
+        assert ExecutorSpec("serial").resolved_workers == 1
+        assert ExecutorSpec("thread", 2).resolved_workers == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ExecutorSpec("thread").resolved_workers == 64
 
 
 # -- chunk-granular task splitting -------------------------------------------
@@ -94,32 +109,7 @@ class TestChunkSpans:
         assert chunk_spans(1, 1, 16, 4) == [(0, 1)]
 
 
-# -- PackedOperands codec ------------------------------------------------------
-
-class TestPlanCodec:
-    def test_buffers_round_trip(self):
-        a, _ = operands(batch=32, n=8)
-        plan = pack_operands(a)
-        meta, buffers = plan.to_buffers()
-        copied = [bytes(np.ascontiguousarray(b)) for b in buffers]
-        again = PackedOperands.from_buffers(meta, copied)
-        assert again.fmt.name == plan.fmt.name
-        assert np.array_equal(again.sign, plan.sign)
-        assert np.array_equal(again.exp, plan.exp)
-        assert np.array_equal(again.nibbles, plan.nibbles)
-
-    def test_views_are_zero_copy(self):
-        a, _ = operands(batch=16, n=4)
-        plan = pack_operands(a)
-        meta, buffers = plan.to_buffers()
-        blob = bytearray(bytes(np.ascontiguousarray(buffers[2])))
-        again = PackedOperands.from_buffers(
-            meta, [bytes(np.ascontiguousarray(buffers[0])),
-                   bytes(np.ascontiguousarray(buffers[1])), memoryview(blob)])
-        assert again.nibbles.base is not None  # a view, not a copy
-
-
-# -- process backend bit-identity ----------------------------------------------
+# -- thread backend bit-identity -----------------------------------------------
 
 PROPERTY_POINTS = [
     PrecisionPoint(16),                        # int32 fast path at n=16
@@ -131,11 +121,11 @@ PROPERTY_POINTS = [
 ]
 
 
-class TestProcessParity:
-    def test_inner_products_bit_identical(self, process_session):
+class TestThreadParity:
+    def test_inner_products_bit_identical(self, thread_session):
         a, b = operands(batch=6000, n=8, seed=11)
         serial = EmulationSession().inner_products(a, b, PROPERTY_POINTS)
-        parallel = process_session.inner_products(a, b, PROPERTY_POINTS)
+        parallel = thread_session.inner_products(a, b, PROPERTY_POINTS)
         for s_res, p_res in zip(serial, parallel):
             assert_results_equal(s_res, p_res)
 
@@ -151,18 +141,18 @@ class TestProcessParity:
         points=st.lists(st.sampled_from(PROPERTY_POINTS), min_size=1,
                         max_size=3, unique=True),
     )
-    def test_random_run_specs_bit_identical(self, process_session, seed,
+    def test_random_run_specs_bit_identical(self, thread_session, seed,
                                             batch, n, chunks, sources, points):
         """The property the backend swap hinges on: any RunSpec the API can
-        express produces byte-identical sweeps on the process backend."""
+        express produces byte-identical sweeps on the thread backend."""
         spec = RunSpec(name="prop", sources=tuple(sorted(sources)),
                        points=tuple(points), batch=batch, n=n,
                        chunks=chunks, seed=seed)
         serial = EmulationSession().sweep(spec)
-        parallel = process_session.sweep(spec)
+        parallel = thread_session.sweep(spec)
         assert serial.points == parallel.points
 
-    def test_emulated_conv_through_process_backend(self, process_session):
+    def test_emulated_conv_through_thread_backend(self, thread_session):
         """The one-call conv engages the pool and stays bit-exact."""
         from repro.analysis.accuracy import emulated_conv2d
 
@@ -170,18 +160,18 @@ class TestProcessParity:
         x = rng.normal(0, 1, (16, 3, 18, 18))   # 5184 rows > the pool gate
         w = rng.normal(0, 0.5, (4, 3, 3, 3))
         want = emulated_conv2d(x, w, None, 1, 1, 12)
-        got = emulated_conv2d(x, w, None, 1, 1, 12, session=process_session)
+        before = thread_session.executor.tasks_dispatched
+        got = emulated_conv2d(x, w, None, 1, 1, 12, session=thread_session)
         assert np.array_equal(got, want)
-        assert process_session.executor.live_segments == []
+        assert thread_session.executor.tasks_dispatched > before
 
-    def test_custom_registered_format_crosses_fork(self, process_session):
-        """Plans resolve formats by registry name in the workers; fork
-        inherits parent registrations."""
+    def test_non_default_format_bit_identical(self, thread_session):
+        """A format other than the FP16 default splits bit-identically."""
         rng = np.random.default_rng(5)
         a = rng.normal(0, 1, (5000, 8))
         b = rng.normal(0, 1, (5000, 8))
         serial = EmulationSession().inner_product(a, b, 16, fmt="fp32")
-        parallel = process_session.inner_product(a, b, 16, fmt="fp32")
+        parallel = thread_session.inner_product(a, b, 16, fmt="fp32")
         assert_results_equal(serial, parallel)
 
 
@@ -209,11 +199,11 @@ class TestStreaming:
             assert np.array_equal(
                 np.concatenate([c[i].total_cycles for c in seen]), res.total_cycles)
 
-    def test_streaming_through_process_backend(self, process_session):
+    def test_streaming_through_thread_backend(self, thread_session):
         a, b = operands(batch=9000, n=8, seed=8)
         serial = EmulationSession().inner_product(a, b, 16)
-        chunks = list(process_session.fp_ip_points_iter(a, b, [16],
-                                                        chunk_rows=3000))
+        chunks = list(thread_session.fp_ip_points_iter(a, b, [16],
+                                                       chunk_rows=3000))
         got = np.concatenate([c[2][0].values for c in chunks])
         assert np.array_equal(got, serial.values)
 
@@ -241,126 +231,10 @@ class TestStreaming:
         assert peak < full_bytes / 4, f"peak {peak} vs full {full_bytes}"
 
 
-# -- shared-memory hygiene -------------------------------------------------------
-
-class TestSharedMemoryCleanup:
-    def test_segments_unlinked_after_each_call(self, process_session):
-        a, b = operands(batch=6000, n=8, seed=12)
-        process_session.inner_product(a, b, 16)
-        ex = process_session.executor
-        names = list(ex.last_segments)
-        assert names, "process run should have exported operand planes"
-        assert ex.live_segments == []
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_no_segments_leak_after_close(self):
-        a, b = operands(batch=6000, n=8, seed=13)
-        s = EmulationSession(workers=2, backend="process")
-        s.inner_product(a, b, 16)
-        ex = s.executor
-        names = list(ex.last_segments)
-        s.close()
-        assert ex.live_segments == []
-        assert ex._pool is None
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_close_unlinks_interrupted_exports(self):
-        """Segments registered but never unlinked (crash path) die at close."""
-        ex = make_executor("process", 2)
-        a, _ = operands(batch=64, n=8)
-        desc = ex._export(pack_operands(a))
-        assert ex.live_segments == [desc["name"]]
-        ex.close()
-        assert ex.live_segments == []
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=desc["name"])
-
-
-# -- zero-copy result blocks -----------------------------------------------------
-
-class TestResultBlockCleanup:
-    def test_result_files_unlinked_after_each_call(self, process_session):
-        import os
-
-        a, b = operands(batch=6000, n=8, seed=21)
-        before_rx = process_session.executor.shm_bytes_rx
-        got = process_session.inner_product(a, b, 16)
-        ex = process_session.executor
-        paths = list(ex.last_result_files)
-        assert paths, "process run should have allocated a result block"
-        assert ex.live_result_files == []
-        for path in paths:
-            assert not os.path.exists(path)
-        # the returned views outlive the unlink (POSIX keeps the mapping)
-        assert np.isfinite(got.values).all() or got.values.size
-        assert ex.shm_bytes_rx > before_rx
-        assert ex.results_pickled == 0
-
-    def test_crash_mid_sweep_unlinks_result_file(self):
-        """A worker that dies mid-sweep must not leak its result block.
-
-        A single-cycle point that cannot reach its software precision
-        raises inside the forked worker (the parent never resolves points
-        on this path), which is exactly the crash shape: the result file
-        exists, futures fail, cleanup must still run.
-        """
-        import os
-
-        ex = make_executor("process", 2)
-        try:
-            a, b = operands(batch=6000, n=8, seed=22)
-            pa, pb = pack_operands(a), pack_operands(b)
-            from repro.ipu.engine import KernelPoint
-
-            with pytest.raises(ValueError, match="cannot reach software precision"):
-                ex.run_points(pa, pb, [KernelPoint(12, 28)], (6000, 8))
-            assert ex.live_result_files == []
-            assert ex.live_segments == []
-            for path in ex.last_result_files:
-                assert not os.path.exists(path)
-        finally:
-            ex.close()
-
-    def test_close_unlinks_interrupted_result_files(self):
-        """Result files registered but never unlinked (crash path) die at
-        close, mirroring the operand-segment guarantee."""
-        import os
-
-        from repro.api.executor import _create_result_file
-
-        ex = make_executor("process", 2)
-        path = _create_result_file(1024)
-        ex._live_results.append(path)
-        assert ex.live_result_files == [path]
-        ex.close()
-        assert ex.live_result_files == []
-        assert not os.path.exists(path)
-
-    def test_session_stats_prove_zero_pickled_results(self):
-        """Acceptance: process sweeps pickle zero kernel outputs and stay
-        byte-identical to serial, asserted through the session stats."""
-        spec = RunSpec(name="zero-copy", sources=("laplace", "normal"),
-                       batch=4200, n=8,
-                       points=(PrecisionPoint(12), PrecisionPoint(16, 28, True)))
-        with EmulationSession(workers=2, backend="process") as proc:
-            parallel = proc.sweep(spec)
-            stats = proc.stats
-        serial = EmulationSession().sweep(spec)
-        assert serial.points == parallel.points
-        assert stats.results_pickled == 0
-        assert stats.shm_bytes_rx > 0, "result blocks should flow through shm"
-        assert stats.shm_bytes_tx > 0, "operand planes should flow through shm"
-        assert stats.shm_bytes == stats.shm_bytes_tx + stats.shm_bytes_rx
-
-
 # -- design sweeps ---------------------------------------------------------------
 
-class TestDesignProcessSweep:
-    def test_process_sweep_matches_serial(self):
+class TestDesignThreadSweep:
+    def test_thread_sweep_matches_serial(self):
         from repro.api import DesignSession, DesignSweepSpec
 
         accuracy = RunSpec(name="quick", sources=("laplace",), batch=300)
@@ -368,9 +242,9 @@ class TestDesignProcessSweep:
                                     tiles=("small",), samples=16)
         with DesignSession(accuracy=accuracy) as ds:
             want = ds.sweep(spec)
-        with DesignSession(workers=2, backend="process", accuracy=accuracy) as ds:
+        with DesignSession(workers=2, backend="thread", accuracy=accuracy) as ds:
             got = ds.sweep(spec)
-            assert ds.stats.backend == "process"
+            assert ds.stats.backend == "thread"
             assert ds.stats.tasks_dispatched == len(spec.points())
         assert want == got
 
@@ -388,11 +262,11 @@ class TestRunnerBackend:
         spec.to_json(path)
         assert main(["--spec", str(path)]) == 0
         serial_out = capsys.readouterr().out.splitlines()
-        assert main(["--spec", str(path), "--backend", "process",
+        assert main(["--spec", str(path), "--backend", "thread",
                      "--workers", "2"]) == 0
-        process_out = capsys.readouterr().out.splitlines()
+        thread_out = capsys.readouterr().out.splitlines()
         strip = lambda lines: [l for l in lines if not l.startswith("[spec ")]
-        assert strip(serial_out) == strip(process_out)
+        assert strip(serial_out) == strip(thread_out)
 
     def test_spec_executor_field_applies(self, tmp_path, capsys):
         from repro.experiments.runner import main
@@ -408,4 +282,20 @@ class TestRunnerBackend:
     def test_backend_requires_spec(self, capsys):
         from repro.experiments.runner import main
 
-        assert main(["fig3", "--backend", "process"]) == 2
+        assert main(["fig3", "--backend", "thread"]) == 2
+
+    def test_process_backend_is_rejected(self, tmp_path, capsys):
+        """Both ways of asking for the deleted process backend exit 2."""
+        from repro.experiments.runner import main
+
+        spec = RunSpec(name="replay", sources=("laplace",),
+                       points=(PrecisionPoint(16),), batch=200, n=8).to_dict()
+        spec["executor"] = "process"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--spec", str(path)]) == 2
+        assert "cannot load spec" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--spec", str(path), "--backend", "process"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err

@@ -17,9 +17,9 @@ from repro.chaos import (
 
 class TestMatching:
     def test_counter_fault_fires_on_exactly_the_nth_call(self):
-        engine = ChaosEngine(FaultPlan.of("worker-crash@chunk:2"))
-        hits = [engine.hook("executor.chunk") for _ in range(5)]
-        assert hits == [None, None, {"action": "crash"}, None, None]
+        engine = ChaosEngine(FaultPlan.of("store-corrupt@put:2"))
+        hits = [engine.hook("store.put") for _ in range(5)]
+        assert hits == [None, None, {"action": "corrupt"}, None, None]
 
     def test_repeat_suffix_fires_on_consecutive_calls(self):
         engine = ChaosEngine(FaultPlan.of("store-corrupt@put:1x2"))
@@ -28,9 +28,9 @@ class TestMatching:
                         None]
 
     def test_sites_are_independent_counters(self):
-        engine = ChaosEngine(FaultPlan.of("worker-crash@chunk:0"))
-        assert engine.hook("store.put") is None  # wrong site: not consumed
-        assert engine.hook("executor.chunk") == {"action": "crash"}
+        engine = ChaosEngine(FaultPlan.of("store-corrupt@put:0"))
+        assert engine.hook("service.job") is None  # wrong site: not consumed
+        assert engine.hook("store.put") == {"action": "corrupt"}
 
     def test_conn_reset_raises_a_retryable_injected_fault(self):
         engine = ChaosEngine(FaultPlan.of("conn-reset@request:0"))
@@ -69,19 +69,19 @@ class TestMatching:
         assert fire_counts(9)[-1] not in (0, 8)  # p=0.5 actually mixes
 
     def test_stats_shape(self):
-        engine = ChaosEngine(FaultPlan.of("worker-crash@chunk:0", seed=3))
-        engine.hook("executor.chunk")
+        engine = ChaosEngine(FaultPlan.of("store-corrupt@put:0", seed=3))
+        engine.hook("store.put")
         stats = engine.stats()
         assert stats["seed"] == 3
-        assert stats["faults"] == ["worker-crash@chunk:0"]
-        assert stats["calls"] == {"executor.chunk": 1}
-        assert stats["injected"] == {"worker-crash": 1}
+        assert stats["faults"] == ["store-corrupt@put:0"]
+        assert stats["calls"] == {"store.put": 1}
+        assert stats["injected"] == {"store-corrupt": 1}
 
 
 class TestArming:
     def test_disarmed_hook_is_a_no_op(self):
         assert current_engine() is None
-        assert chaos_hook("executor.chunk", lo=0, hi=1) is None
+        assert chaos_hook("store.put") is None
 
     def test_install_arms_and_disarms(self):
         with install(FaultPlan.of("store-corrupt@put:0")) as engine:

@@ -10,7 +10,7 @@ from repro.chaos import Fault, FaultPlan
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 GRAMMAR = [
-    ("worker-crash@chunk:2", dict(kind="worker-crash", at=2)),
+    ("store-corrupt@put:3x2", dict(kind="store-corrupt", at=3, times=2)),
     ("store-corrupt@put:0", dict(kind="store-corrupt", at=0)),
     ("endpoint-timeout@shard:1", dict(kind="endpoint-timeout", shard=1)),
     ("conn-reset@request:5", dict(kind="conn-reset", at=5)),
@@ -29,13 +29,18 @@ class TestFaultGrammar:
         assert Fault.parse(str(fault)) == fault
 
     @pytest.mark.parametrize("bad", [
-        "worker-crash",               # no @target
-        "worker-crash@put:1",         # wrong counter label for the kind
+        "store-corrupt",              # no @target
+        "store-corrupt@request:1",    # wrong counter label for the kind
         "no-such-kind@chunk:1",
-        "worker-crash@chunk:",        # missing index
-        "worker-crash@chunk:-1",
+        "store-corrupt@put:",         # missing index
+        "store-corrupt@put:-1",
         "conn-reset@request:0x0",     # repeat count below 1 (times >= 1)
         "slow-response@nope",
+        # the deleted worker-crash kind is rejected, not silently ignored
+        "worker-crash",
+        "worker-crash@put:1",
+        "worker-crash@chunk:",
+        "worker-crash@chunk:-1",
     ])
     def test_malformed_text_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -49,17 +54,17 @@ class TestFaultGrammar:
         with pytest.raises(ValueError, match="shard"):
             Fault(kind="endpoint-timeout")
         with pytest.raises(ValueError, match="call index"):
-            Fault(kind="worker-crash")
+            Fault(kind="store-corrupt")
 
     def test_sites_follow_the_kind(self):
-        assert Fault.parse("worker-crash@chunk:0").sites == ("executor.chunk",)
+        assert Fault.parse("store-corrupt@put:0").sites == ("store.put",)
         assert Fault.parse("slow-response@0.5").sites == (
             "client.request", "service.job")
 
 
 class TestFaultPlan:
     def test_dict_and_json_round_trip(self):
-        plan = FaultPlan.of("worker-crash@chunk:1", "store-corrupt@put:2",
+        plan = FaultPlan.of("conn-reset@request:1", "store-corrupt@put:2",
                             "slow-response@0.1", seed=7)
         assert FaultPlan.from_dict(plan.to_dict()) == plan
         assert FaultPlan.from_json(plan.to_json()) == plan
@@ -83,7 +88,7 @@ class TestFaultPlan:
             FaultPlan.from_json("[1, 2]")
 
     def test_save_load_round_trip(self, tmp_path):
-        plan = FaultPlan.of("worker-crash@chunk:0", seed=11)
+        plan = FaultPlan.of("store-corrupt@put:0", seed=11)
         path = tmp_path / "plan.json"
         plan.save(path)
         assert FaultPlan.load(path) == plan
@@ -95,7 +100,7 @@ class TestFaultPlan:
         plan = FaultPlan.load(REPO_ROOT / "examples/specs/chaos_quick.json")
         assert plan.seed == 7
         assert [f.kind for f in plan.faults] == [
-            "worker-crash", "store-corrupt", "conn-reset", "slow-response"]
+            "store-corrupt", "conn-reset", "slow-response"]
 
     def test_describe_names_every_fault(self):
         plan = FaultPlan.of("conn-reset@request:1", seed=2)

@@ -46,12 +46,6 @@ def pair_case(seed, lead, n, mask_a, mask_b):
     return pack_operands(a), pack_operands(b), np.broadcast_shapes(shape_a, shape_b)
 
 
-def out_slots(results):
-    return [tuple(np.empty(r.values.size, d) for d in
-                  (np.float64, r.rounded.dtype, np.int64, np.int64, np.int64))
-            for r in results]
-
-
 def kernel_points(work_dtype, acc_fmt, points, n):
     points = [KernelPoint(p.adder_width, p.software_precision, p.multi_cycle, acc_fmt)
               for p in points]
@@ -73,22 +67,19 @@ case = dict(
 
 
 @settings(max_examples=60, deadline=None)
-@given(**case, use_out=st.booleans())
+@given(**case)
 def test_broadcast_pair_matches_dense_pair(seed, lead, n, masks, points, acc_fmt,
-                                           work_dtype, chunk_rows, use_out):
+                                           work_dtype, chunk_rows):
     mask_a = [m[0] for m in masks[:len(lead)]]
     mask_b = [m[1] for m in masks[:len(lead)]]
     pa, pb, shape = pair_case(seed, lead, n, mask_a, mask_b)
     points = kernel_points(work_dtype, acc_fmt, points, n)
     want = fp_ip_points(dense(pa, shape), dense(pb, shape), points,
                         chunk_rows=chunk_rows, work_dtype=work_dtype)
-    out = out_slots(want) if use_out else None
     got = fp_ip_points(pa, pb, points, chunk_rows=chunk_rows,
-                       work_dtype=work_dtype, out=out)
-    for i, (g, w) in enumerate(zip(got, want)):
+                       work_dtype=work_dtype)
+    for g, w in zip(got, want):
         assert_results_equal(g, w, (shape, mask_a, mask_b))
-        if use_out:
-            assert np.shares_memory(g.values, out[i][0])
     a, b = (plan_values(dense(plan, shape)).reshape(-1, shape[-1]) for plan in (pa, pb))
     for point, g in zip(points, got):
         seed_ref = fp_ip_batch_seed(a, b, point.adder_width, point.software_precision,

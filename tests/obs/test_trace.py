@@ -21,7 +21,6 @@ from repro.obs.trace import (
     trace_ingest,
     trace_span,
     trace_wire,
-    worker_trace,
 )
 
 
@@ -190,27 +189,6 @@ class TestPropagationPrimitives:
             fresh = dict(spans[0], span_id="other-1")
             assert trace_ingest([fresh]) == 1
         assert len(tracer.export()) == 2
-
-    def test_worker_trace_isolates_and_collects(self):
-        disarm()  # a cold "worker process"
-        wire = {"trace": "aa", "span": "bb"}
-        with worker_trace(wire) as collected:
-            with trace_span("executor.chunk", lo=0, hi=10):
-                pass
-        assert current_tracer() is None  # previous state restored
-        (d,) = collected
-        assert d["name"] == "executor.chunk"
-        assert d["trace_id"] == "aa" and d["parent_id"] == "bb"
-
-    def test_worker_trace_shadows_inherited_tracer(self):
-        with install() as parent_tracer:
-            with worker_trace({"trace": "t", "span": "s"}) as collected:
-                with trace_span("w"):
-                    pass
-            assert current_tracer() is parent_tracer
-        # the span went to the collector, not the fork-inherited tracer
-        assert parent_tracer.export() == []
-        assert len(collected) == 1
 
 
 class TestHeaderCodec:
