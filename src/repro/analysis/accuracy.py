@@ -121,16 +121,15 @@ def emulated_conv2d(
 
 def emulated_forward(
     model: Sequential, x: np.ndarray, adder_width: int | None, acc_fmt: FPFormat = FP32,
-    plan_cache: dict | None = None, conv_fn=None, session=None,
+    plan_cache: dict | None = None, session=None,
 ) -> np.ndarray:
     """Forward pass with every Conv2d routed through the emulation.
 
     ``adder_width=None`` runs the plain float32 path (the reference).
     ``plan_cache`` (a plain dict) carries packed weight plans across calls —
     pass the same dict for every batch and precision of an evaluation so
-    each layer's weights are decomposed exactly once. ``conv_fn`` swaps the
-    emulated convolution implementation (benchmark/regression hook);
-    ``session`` routes all plan caching through an EmulationSession instead.
+    each layer's weights are decomposed exactly once. ``session`` routes
+    all plan caching through an EmulationSession instead.
     """
 
     def run(layer, h):
@@ -138,9 +137,6 @@ def emulated_forward(
             if adder_width is None:
                 return layer(h)
             bias = None if layer.bias is None else layer.bias.data
-            if conv_fn is not None:
-                return conv_fn(h, layer.weight.data, bias, layer.stride,
-                               layer.padding, adder_width, acc_fmt)
             return emulated_conv2d(
                 h, layer.weight.data, bias,
                 layer.stride, layer.padding, adder_width, acc_fmt,
@@ -184,7 +180,6 @@ def accuracy_vs_precision(
     acc_fmt: FPFormat = FP32,
     batch_size: int = 32,
     plan_cache: dict | None = None,
-    conv_fn=None,
     session=None,
 ) -> list[AccuracyPoint]:
     """Top-1 accuracy at each IPU precision plus the float32 reference,
@@ -204,7 +199,7 @@ def accuracy_vs_precision(
         for start in range(0, len(labels), batch_size):
             xb = images[start : start + batch_size]
             yb = labels[start : start + batch_size]
-            logits = emulated_forward(model, xb, w, acc_fmt, plan_cache, conv_fn,
+            logits = emulated_forward(model, xb, w, acc_fmt, plan_cache,
                                       session=session)
             hits = (logits.argmax(axis=1) == yb)
             per_batch.append(float(hits.mean()))

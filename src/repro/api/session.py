@@ -65,8 +65,8 @@ class SessionStats:
     """Plan-cache and executor counters (observability for sizing decisions).
 
     ``backend``/``workers`` describe the execution backend;
-    ``tasks_dispatched`` counts tasks actually handed to a pool (benchmark
-    JSON asserts on it to prove the pool engaged).
+    ``tasks_dispatched`` counts tasks actually handed to a pool (proof that
+    the pool engaged).
     """
 
     plan_hits: int = 0

@@ -3,8 +3,7 @@
 One global engine can be *armed* for the process (``arm()`` / ``install()``);
 instrumented code calls :func:`chaos_hook` at each layer boundary. Disarmed,
 the hook is a single global load and ``None`` check — cheap enough to leave
-compiled into every hot path (the ``chaos_overhead`` benchmark row keeps this
-honest).
+compiled into every hot path.
 
 Hook sites and what they return / raise when a fault matches:
 

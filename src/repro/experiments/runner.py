@@ -46,6 +46,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -343,6 +344,10 @@ def _verify_store(args) -> int:
     report. Corrupt entries are quarantined (and counted), never served."""
     from repro.store import ResultStore
 
+    if not Path(args.verify_store).is_dir():  # ResultStore would create it
+        print(f"cannot verify store {args.verify_store!r}: not an existing "
+              "directory", file=sys.stderr)
+        return 2
     try:
         report = ResultStore(args.verify_store).verify()
     except OSError as exc:
@@ -351,6 +356,63 @@ def _verify_store(args) -> int:
         return 2
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
+
+
+_LOCAL_MODES = frozenset({"--spec", "--design-spec", "--search"})
+_SESSION_MODES = _LOCAL_MODES | {"--serve"}
+_TRACED_MODES = _LOCAL_MODES | {"--submit", "experiment"}
+
+# Which runs each flag applies to: (flag, modes it needs[, mode it excludes]).
+# A run's modes are its one mode flag ("experiment" for named experiments or
+# --all), plus "--fleet" when the run has one.
+_FLAG_MODES = (
+    ("--quick", {"experiment"}),
+    ("--json", _TRACED_MODES),
+    ("--backend", _SESSION_MODES, "--fleet"),
+    ("--workers", _SESSION_MODES, "--fleet"),
+    ("--store", _SESSION_MODES),
+    ("--port", {"--serve"}),
+    ("--host", {"--serve"}),
+    ("--service-workers", {"--serve"}),
+    ("--queue-cap", {"--serve"}),
+    ("--max-finished-jobs", {"--serve"}),
+    ("--url", {"--submit"}),
+    ("--fleet", _LOCAL_MODES),
+    ("--shards", {"--fleet"}, "--search"),
+    ("--token", {"--serve", "--submit", "--fleet"}),
+    ("--chaos", _SESSION_MODES),
+    ("--trace", _TRACED_MODES),
+    ("--profile", _TRACED_MODES),
+)
+
+
+def _run_mode(args) -> tuple[str | None, str | None]:
+    """The run's mode flag, and the error for the first flag that does not
+    fit it (None when every flag fits)."""
+    modes = [flag for flag, on in (("--list", args.list),
+                                   ("--spec", args.spec is not None),
+                                   ("--design-spec", args.design_spec is not None),
+                                   ("--search", args.search is not None),
+                                   ("--serve", args.serve),
+                                   ("--submit", args.submit is not None),
+                                   ("--verify-store",
+                                    args.verify_store is not None)) if on]
+    if len(modes) > 1:
+        return None, f"{' and '.join(modes)} are mutually exclusive"
+    if modes and (args.experiments or args.all):
+        return None, f"{modes[0]} cannot be combined with named experiments"
+    mode = modes[0] if modes else ("experiment" if args.experiments or args.all
+                                   else None)
+    run = {mode, "--fleet"} if args.fleet is not None else {mode}
+    for flag, needs, *excludes in _FLAG_MODES:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None or value is False:
+            continue
+        if not needs & run:
+            return mode, f"{flag} only applies to {'/'.join(sorted(needs))} runs"
+        if excludes and excludes[0] in run:
+            return mode, f"{flag} does not apply to {excludes[0]} runs"
+    return mode, None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -443,74 +505,10 @@ def main(argv: list[str] | None = None) -> int:
                              "never served)")
     args = parser.parse_args(argv)
 
-    if args.list:
-        for name, (_, desc) in EXPERIMENTS.items():
-            print(f"{name:10s} {desc}")
-        return 0
-    modes = [flag for flag, on in (("--spec", args.spec is not None),
-                                   ("--design-spec", args.design_spec is not None),
-                                   ("--search", args.search is not None),
-                                   ("--serve", args.serve),
-                                   ("--submit", args.submit is not None),
-                                   ("--verify-store",
-                                    args.verify_store is not None)) if on]
-    if len(modes) > 1:
-        print(f"{' and '.join(modes)} are mutually exclusive", file=sys.stderr)
+    mode, error = _run_mode(args)
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
-    if modes and (args.experiments or args.all):
-        print(f"{modes[0]} cannot be combined with named experiments", file=sys.stderr)
-        return 2
-    session_modes = {"--spec", "--design-spec", "--search", "--serve"}
-    traced_modes = {"--spec", "--design-spec", "--search", "--submit", "experiment"}
-    # named experiments (or --all) are the "experiment" mode
-    mode = modes[0] if modes else ("experiment" if args.experiments or args.all else None)
-    for flag, on, needs in (
-        ("--backend", args.backend is not None, session_modes),
-        ("--workers", args.workers is not None, session_modes),
-        ("--store", args.store is not None, session_modes),
-        ("--port", args.port is not None, {"--serve"}),
-        ("--host", args.host is not None, {"--serve"}),
-        ("--service-workers", args.service_workers is not None, {"--serve"}),
-        ("--queue-cap", args.queue_cap is not None, {"--serve"}),
-        ("--max-finished-jobs", args.max_finished_jobs is not None, {"--serve"}),
-        ("--url", args.url is not None, {"--submit"}),
-        ("--fleet", args.fleet is not None,
-         {"--spec", "--design-spec", "--search"}),
-        ("--chaos", args.chaos is not None, session_modes),
-        ("--trace", args.trace is not None, traced_modes),
-        ("--profile", args.profile, traced_modes),
-    ):
-        if on and mode not in needs:
-            print(f"{flag} only applies to {'/'.join(sorted(needs))} runs",
-                  file=sys.stderr)
-            return 2
-    if args.shards is not None and args.fleet is None:
-        print("--shards only applies to --fleet runs", file=sys.stderr)
-        return 2
-    if args.shards is not None and args.search is not None:
-        print("--shards does not apply to --search runs (rungs dispatch one "
-              "job per candidate, not a shard plan)", file=sys.stderr)
-        return 2
-    if args.token is not None and not (args.serve or args.submit is not None
-                                       or args.fleet is not None):
-        print("--token only applies to --serve/--submit/--fleet runs",
-              file=sys.stderr)
-        return 2
-    if args.fleet is not None:
-        # --store stays allowed: it backs the coordinator's warm-shard cache
-        for flag, on in (("--backend", args.backend is not None),
-                         ("--workers", args.workers is not None)):
-            if on:
-                print(f"{flag} does not apply to --fleet runs (session "
-                      "configuration lives on the service instances)",
-                      file=sys.stderr)
-                return 2
-    if args.json is not None and args.serve:
-        print("--json does not apply to --serve (use GET /v1/stats)",
-              file=sys.stderr)
-        return 2
-    if args.verify_store is not None:
-        return _verify_store(args)
     if args.trace is None and not args.profile:
         return _chaos_dispatch(args, parser)
     from repro.obs.export import render_profile, to_chrome_trace
@@ -560,6 +558,12 @@ def _dispatch(args, parser) -> int:
     """Run the validated mode (everything below the flag checks)."""
     from repro.obs.trace import trace_span
 
+    if args.list:
+        for name, (_, desc) in EXPERIMENTS.items():
+            print(f"{name:10s} {desc}")
+        return 0
+    if args.verify_store is not None:
+        return _verify_store(args)
     if args.serve:
         return _serve(args)
     if args.submit is not None:

@@ -60,8 +60,8 @@ class FleetError(RuntimeError):
 class LocalEndpoint:
     """The endpoint protocol over an in-process
     :class:`~repro.service.SweepService` — lets the coordinator mix local
-    sessions into a fleet (or run entirely in-process, as the tests and
-    the benchmark harness do) with no HTTP in the loop."""
+    sessions into a fleet (or run entirely in-process, as the tests do)
+    with no HTTP in the loop."""
 
     def __init__(self, service, name: str = "local"):
         self.service = service

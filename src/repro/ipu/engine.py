@@ -82,8 +82,7 @@ __all__ = [
 # the handful of live buffers comfortably inside a shared L2 slice. This is
 # the one chunk-sizing knob: the in-memory path (fp_ip_points), the session
 # streaming iterator, and the executor task splitter all derive their row
-# blocks from it through default_chunk_rows (microbenchmarked in
-# benchmarks/report.py: chunk_block).
+# blocks from it through default_chunk_rows (see docs/performance.md).
 DEFAULT_CHUNK_ELEMENTS = 1 << 16
 
 # Largest |product| of two 5-bit signed nibble operands (-16*15 or 15*15).

@@ -2,12 +2,13 @@
 
 This is the original (seed) implementation of ``fp_ip_batch`` exactly as it
 shipped before :mod:`repro.ipu.engine` replaced it on the hot paths. It is
-retained for two purposes only:
+retained as a reference only:
 
-- the engine property tests assert bit-identity against it (in addition to
-  the scalar golden model), pinning the refactor to the historical bits;
-- the benchmark report (``benchmarks/report.py``) times it against the
-  engine at identical sample counts to track the speedup across PRs.
+- the engine property tests and the Figure-3 sweep test assert
+  bit-identity against it (in addition to the scalar golden model),
+  pinning the engine to the historical bits;
+- the ``spec-replay`` benchmark workload re-runs a subsample of its
+  kernel outputs through it as a correctness gate.
 
 Do not optimise or otherwise modify this module; new functionality belongs
 in :mod:`repro.ipu.engine`.

@@ -1,8 +1,7 @@
-"""Thin stdlib client for the sweep service (see :mod:`repro.service.server`).
+"""Thin client for the sweep service (see :mod:`repro.service.server`).
 
-Speaks the service's JSON API over :mod:`urllib.request` — no dependency
-beyond the standard library, so any consumer (CI, a notebook, another
-service) can submit sweeps without importing the emulation stack::
+Speaks the service's JSON API over :mod:`urllib.request`, so any consumer
+(CI, a notebook, another service) can submit sweeps::
 
     from repro.service.client import ServiceClient
 
@@ -25,8 +24,6 @@ DNS errors, job errors — is fatal and surfaces immediately.
 When a :mod:`repro.obs` tracer is armed, every request carries the current
 span as an ``X-Repro-Trace`` header, so a server-side job is parented into
 the caller's trace and its spans come back on the result payload.
-(:mod:`repro.chaos` and :mod:`repro.obs` are stdlib-only, so this module
-still works without the emulation stack installed.)
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+from repro.api.spec import spec_kind_of
 from repro.chaos.engine import chaos_hook
 from repro.chaos.errors import InjectedFault, is_retryable
 from repro.chaos.retry import RetryPolicy
@@ -86,16 +84,6 @@ def _as_spec_dict(spec) -> dict:
             text = Path(spec).read_text()
         return json.loads(text)
     raise TypeError(f"cannot build a spec body from {type(spec).__name__}")
-
-
-def spec_kind(spec_dict: dict) -> str:
-    """``"search"`` for search documents, ``"design-sweep"`` for design
-    grids, ``"sweep"`` for precision grids (the spec schemas are disjoint:
-    only search specs carry ``space``/``strategy``, only design specs carry
-    ``designs``)."""
-    if "space" in spec_dict or "strategy" in spec_dict:
-        return "search"
-    return "design-sweep" if "designs" in spec_dict else "sweep"
 
 
 class ServiceClient:
@@ -205,7 +193,7 @@ class ServiceClient:
         hint until ``busy_timeout`` elapses, then re-raised.
         """
         spec_dict = _as_spec_dict(spec)
-        kind = kind or spec_kind(spec_dict)
+        kind = kind or spec_kind_of(spec_dict)
         deadline = time.monotonic() + busy_timeout
         while True:
             try:

@@ -200,9 +200,8 @@ class SweepService:
     """Job queue + coalescer over one shared session pair and store.
 
     The HTTP layer delegates everything here, so the service is fully
-    usable in-process too (the test suite, the fleet coordinator's
-    :class:`repro.fleet.LocalEndpoint`, and the benchmark harness drive
-    it both ways).
+    usable in-process too (the test suite and the fleet coordinator's
+    :class:`repro.fleet.LocalEndpoint` drive it both ways).
 
     ``queue_workers`` sizes the worker pool draining the job queue (the
     sessions are concurrency-safe; distinct jobs run in parallel while a
@@ -634,7 +633,7 @@ class ServiceServer:
     ``port=0`` binds an ephemeral port (tests); :attr:`url` reports the
     bound address either way. Use :meth:`serve_forever` to block (the
     runner's ``--serve``) or :meth:`start` for a background thread
-    (examples, tests, benchmarks); both end via the ``/v1/shutdown``
+    (examples, tests); both end via the ``/v1/shutdown``
     endpoint or :meth:`shutdown`.
 
     ``token`` (default: the ``REPRO_SERVICE_TOKEN`` environment variable)

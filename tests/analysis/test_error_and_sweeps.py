@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.error import contaminated_bits, error_stats
-from repro.analysis.sweeps import recommended_min_precision
+from repro.analysis.sweeps import _operands_for, recommended_min_precision
 from repro.api import EmulationSession, RunSpec
-from repro.fp.formats import FP16, FP32
+from repro.fp.formats import FP16, FP32, np_float_dtype
+from repro.ipu.reference import cpu_fp32_dot_batch
+from repro.ipu.seedref import fp_ip_batch_seed
+from repro.utils.rng import as_generator
 
 
 def fig3_sweep(sources, precisions, batch, chunks=1, seed=0):
@@ -15,6 +18,32 @@ def fig3_sweep(sources, precisions, batch, chunks=1, seed=0):
                         sources=sources, batch=batch, chunks=chunks, seed=seed)
     with EmulationSession() as session:
         return session.sweep(spec)
+
+
+def seed_fig3_sweep(sources, precisions, batch, chunks, seed):
+    """The pre-session Figure-3 loop: one frozen seed kernel call per
+    (source, accumulator, precision), operands drawn from one generator."""
+    rng = as_generator(seed)
+    points = {}
+    for source in sources:
+        a, b = _operands_for(source, batch * chunks, 16, rng)
+        a16 = np.asarray(a, np.float16).astype(np.float64)
+        b16 = np.asarray(b, np.float16).astype(np.float64)
+        ref = cpu_fp32_dot_batch(a16, b16).astype(np.float64)
+        if chunks > 1:
+            ref = ref.reshape(batch, chunks).sum(axis=1)
+        for acc_fmt in (FP16, FP32):
+            ref_cast = (ref.astype(np.float16).astype(np.float64)
+                        if acc_fmt is FP16 else ref)
+            for w in precisions:
+                approx = fp_ip_batch_seed(a16, b16, adder_width=w,
+                                          acc_fmt=acc_fmt).values
+                if chunks > 1:
+                    approx = approx.reshape(batch, chunks).sum(axis=1)
+                approx = approx.astype(np_float_dtype(acc_fmt)).astype(np.float64)
+                points[(source, acc_fmt.name, w)] = error_stats(approx, ref_cast,
+                                                                acc_fmt)
+    return points
 
 
 class TestContaminatedBits:
@@ -93,6 +122,16 @@ class TestFig3Conclusions:
     def test_38bit_error_free_for_fp16_acc(self, sweep):
         series = dict(sweep.series("normal", "fp16", "median_abs_error"))
         assert series[38] == 0
+
+    def test_session_sweep_matches_seed_sweep(self):
+        """Every ErrorStats of the session sweep equals the frozen seed
+        kernel's, chained chunks and the 26-bit point included."""
+        grid = dict(sources=("laplace", "normal", "uniform"),
+                    precisions=(8, 12, 16, 20, 24, 26, 28, 38),
+                    batch=1000, chunks=2, seed=0)
+        sweep = fig3_sweep(**grid)
+        got = {(p.source, p.acc_fmt, p.precision): p.stats for p in sweep.points}
+        assert got == seed_fig3_sweep(**grid)
 
     def test_chained_chunks_push_fp32_requirement_up(self):
         short = fig3_sweep(sources=("laplace",), precisions=(16, 20, 24, 28),

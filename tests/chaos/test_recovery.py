@@ -48,24 +48,28 @@ def _random_local_plan(seed: int) -> FaultPlan:
 
 
 class TestLocalRecoveryProperty:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, pytest.param(None, id="empty-plan")])
     def test_random_plans_recover_bit_identical(self, tmp_path, seed,
                                                 reference_points):
-        plan = _random_local_plan(seed)
+        # seed None arms an empty plan: every hook site dispatches into a
+        # live engine that has nothing to inject
+        plan = FaultPlan.of(seed=0) if seed is None else _random_local_plan(seed)
+        faulty = bool(plan.faults)
         store = ResultStore(tmp_path / "store")
         with EmulationSession(backend="thread", workers=2,
                               store=store) as session:
             with install(plan) as engine:
                 chaotic = session.sweep(SPEC)
-            injected = engine.stats()["injected"]
-            assert injected.get("store-corrupt", 0) >= 1
+            stats = engine.stats()
+            assert (stats["injected"].get("store-corrupt", 0) >= 1) == faulty
+            assert stats["calls"].get("store.put", 0) >= 1
             assert session.executor.tasks_dispatched >= 1
         assert chaotic.points == reference_points
 
         # the corruption was never served; verify finds and quarantines it,
         # a second pass reports the store clean
         first = store.verify()
-        assert first["quarantined"] + store.stats.quarantined >= 1
+        assert (first["quarantined"] + store.stats.quarantined >= 1) == faulty
         second = store.verify()
         assert second["quarantined"] == 0
         assert second["ok"] == second["checked"]
