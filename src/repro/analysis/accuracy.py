@@ -10,12 +10,13 @@ float32.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.fp.formats import FP16, FP32, FPFormat
-from repro.ipu.engine import KernelPoint, PackedOperands, fp_ip_points, pack_operands
+from repro.ipu.engine import KernelPoint, PackedOperands, pack_operands
 from repro.nn.functional import conv_output_size, im2col
 from repro.nn.layers import BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d, ReLU, Residual, Sequential
 from repro.utils.rng import as_generator
@@ -26,19 +27,8 @@ __all__ = ["emulated_conv2d", "emulated_forward", "AccuracyPoint", "accuracy_vs_
 _N_IPU = 16
 
 
-def weight_plan(
-    weight: np.ndarray, n_ipu: int = _N_IPU, plan_cache: dict | None = None
-) -> PackedOperands:
-    """Packed plan of a conv weight, reshaped to ``(K, chunks, n_ipu)``.
-
-    ``plan_cache`` memoizes by array identity so one decomposition serves
-    every batch and every IPU precision of an inference run (the cache keeps
-    a reference to the array, pinning the id). Only valid while the weights
-    are not mutated — evaluation-time use.
-    """
-    key = (id(weight), n_ipu)
-    if plan_cache is not None and key in plan_cache:
-        return plan_cache[key][0]
+def weight_plan(weight: np.ndarray, n_ipu: int = _N_IPU) -> PackedOperands:
+    """Packed plan of a conv weight, reshaped to ``(K, chunks, n_ipu)``."""
     k = weight.shape[0]
     wmat = weight.reshape(k, -1)
     d = wmat.shape[1]
@@ -46,12 +36,39 @@ def weight_plan(
     pad = chunks * n_ipu - d
     if pad:
         wmat = np.pad(wmat, ((0, 0), (0, pad)))
-    plan = pack_operands(wmat.reshape(k, chunks, n_ipu), FP16)
-    if plan_cache is not None:
-        plan_cache[key] = (plan, weight)
-    return plan
+    return pack_operands(wmat.reshape(k, chunks, n_ipu), FP16)
 
 
+def _session_weight_plan(session, weight: np.ndarray, n_ipu: int) -> PackedOperands:
+    """:func:`weight_plan` memoized in the session's weight-plan cache.
+
+    Keyed by array identity, so one decomposition serves every batch and
+    every IPU precision of an inference run (the entry keeps a reference
+    to the array, pinning the id). Only valid while the weights are not
+    mutated — evaluation-time use.
+    """
+    cache = session.weight_plan_cache
+    key = (id(weight), n_ipu)
+    if key not in cache:
+        cache[key] = (weight_plan(weight, n_ipu), weight)
+    return cache[key][0]
+
+
+def _one_session(fn):
+    """Run ``fn`` on the caller's ``session``, or on one serial session
+    built for this call (and closed after it)."""
+    @functools.wraps(fn)
+    def wrapped(*args, session=None, **kwargs):
+        if session is not None:
+            return fn(*args, session=session, **kwargs)
+        from repro.api.session import EmulationSession  # repro.api imports this module
+
+        with EmulationSession() as own:
+            return fn(*args, session=own, **kwargs)
+    return wrapped
+
+
+@_one_session
 def emulated_conv2d(
     x: np.ndarray,
     weight: np.ndarray,
@@ -60,7 +77,7 @@ def emulated_conv2d(
     padding: int,
     adder_width: int,
     acc_fmt: FPFormat = FP32,
-    plan_cache: dict | None = None,
+    *,
     session=None,
 ) -> np.ndarray:
     """Convolution computed through the emulated approximate FP-IP.
@@ -77,17 +94,15 @@ def emulated_conv2d(
     never materialized; the results (and peak temporary memory) are
     O(N*P*K*chunks).
 
-    ``session`` (an :class:`repro.api.EmulationSession`) routes activation
-    packing through the session's fingerprint cache — one batch's plan is
-    then shared across every IPU precision of an evaluation — and supplies
-    the weight-plan cache; the kernel call also runs through the session's
-    execution backend, so large batches split across its thread/process
-    pool (bit-identical results either way). ``plan_cache`` is the
-    session-less fallback.
+    ``session`` (an :class:`repro.api.EmulationSession`; omitted, one
+    serial session serves this call) routes activation packing through the
+    session's fingerprint cache — one batch's plan is then shared across
+    every IPU precision of an evaluation — and supplies the weight-plan
+    cache; the kernel call also runs through the session's execution
+    backend, so large batches split across its thread pool (bit-identical
+    results either way).
     """
     n_ipu = _N_IPU
-    if session is not None:
-        plan_cache = session.weight_plan_cache
     k, c, kh, kw = weight.shape
     if x.shape[1] != c:
         raise ValueError(f"input channels {x.shape[1]} != weight channels {c}")
@@ -101,12 +116,11 @@ def emulated_conv2d(
     if pad:
         cols = np.pad(cols, ((0, 0), (0, 0), (0, pad)))
     chunked = cols.reshape(nimg * p, chunks, n_ipu)
-    acts = pack_operands(chunked, FP16) if session is None else session.pack(chunked, FP16)
-    wplan = weight_plan(weight, n_ipu, plan_cache)            # (K, chunks, n_ipu)
-
-    run = fp_ip_points if session is None else session.run_kernels
-    res = run(acts.reshape(nimg * p, 1, chunks), wplan,       # -> (N*P, K, chunks)
-              [KernelPoint(adder_width, acc_fmt=acc_fmt)])[0]
+    acts = session.pack(chunked, FP16)
+    wplan = _session_weight_plan(session, weight, n_ipu)      # (K, chunks, n_ipu)
+    res = session.run_kernels(                                # -> (N*P, K, chunks)
+        acts.reshape(nimg * p, 1, chunks), wplan,
+        [KernelPoint(adder_width, acc_fmt=acc_fmt)])[0]
     out = res.values.sum(axis=-1)                             # exact chunk partials
     out_t = out.reshape(nimg, p, k).transpose(0, 2, 1)
     if acc_fmt.name == "fp32":
@@ -119,17 +133,16 @@ def emulated_conv2d(
     return result
 
 
+@_one_session
 def emulated_forward(
     model: Sequential, x: np.ndarray, adder_width: int | None, acc_fmt: FPFormat = FP32,
-    plan_cache: dict | None = None, session=None,
+    *, session=None,
 ) -> np.ndarray:
     """Forward pass with every Conv2d routed through the emulation.
 
-    ``adder_width=None`` runs the plain float32 path (the reference).
-    ``plan_cache`` (a plain dict) carries packed weight plans across calls —
-    pass the same dict for every batch and precision of an evaluation so
-    each layer's weights are decomposed exactly once. ``session`` routes
-    all plan caching through an EmulationSession instead.
+    ``adder_width=None`` runs the plain float32 path (the reference). Pass
+    the same ``session`` for every batch and precision of an evaluation so
+    each layer's weights are decomposed exactly once.
     """
 
     def run(layer, h):
@@ -140,7 +153,7 @@ def emulated_forward(
             return emulated_conv2d(
                 h, layer.weight.data, bias,
                 layer.stride, layer.padding, adder_width, acc_fmt,
-                plan_cache=plan_cache, session=session,
+                session=session,
             )
         if isinstance(layer, Residual):
             main = h
@@ -172,6 +185,7 @@ class AccuracyPoint:
         return max(self.per_batch) - min(self.per_batch)
 
 
+@_one_session
 def accuracy_vs_precision(
     model: Sequential,
     images: np.ndarray,
@@ -179,19 +193,16 @@ def accuracy_vs_precision(
     precisions: tuple[int, ...] = (8, 10, 12, 16, 28),
     acc_fmt: FPFormat = FP32,
     batch_size: int = 32,
-    plan_cache: dict | None = None,
+    *,
     session=None,
 ) -> list[AccuracyPoint]:
     """Top-1 accuracy at each IPU precision plus the float32 reference,
     with per-batch accuracies (the paper's fluctuation analysis).
 
-    One weight-plan cache spans every precision and batch of the run, so
-    each conv layer's weights are decoded and nibble-split exactly once.
-    With a ``session``, input-batch activation plans are additionally shared
-    across precisions through the session's fingerprint cache.
+    One session spans every precision and batch of the run, so each conv
+    layer's weights are decoded and nibble-split exactly once and
+    input-batch activation plans are shared across precisions.
     """
-    if plan_cache is None:
-        plan_cache = {}
     points = []
     for w in (None, *precisions):
         per_batch = []
@@ -199,8 +210,7 @@ def accuracy_vs_precision(
         for start in range(0, len(labels), batch_size):
             xb = images[start : start + batch_size]
             yb = labels[start : start + batch_size]
-            logits = emulated_forward(model, xb, w, acc_fmt, plan_cache,
-                                      session=session)
+            logits = emulated_forward(model, xb, w, acc_fmt, session=session)
             hits = (logits.argmax(axis=1) == yb)
             per_batch.append(float(hits.mean()))
             correct += int(hits.sum())

@@ -28,7 +28,7 @@ import re
 import threading
 from concurrent.futures import Future
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.hw.efficiency import (
 from repro.hw.registry import parse_design, parse_tile
 from repro.hw.tile_cost import TileCost, tile_cost
 from repro.nn.zoo import WORKLOADS
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Stats, counter
 from repro.obs.trace import trace_span
 from repro.store import ResultStore
 from repro.store.fingerprint import fingerprint as _result_key
@@ -80,27 +80,23 @@ DEFAULT_ACCURACY_SPEC = RunSpec(name="design-accuracy",
 
 
 @dataclass
-class DesignSessionStats:
+class DesignSessionStats(Stats):
     """Per-cache hit/miss counters plus executor telemetry.
 
     ``backend``/``workers`` describe the sweep fan-out backend;
-    ``tasks_dispatched`` counts design points actually handed to a pool.
+    ``tasks_dispatched`` counts design points actually handed to a pool
+    (the executor counts straight into this record).
     """
 
-    hits: dict = field(default_factory=dict)
-    misses: dict = field(default_factory=dict)
+    hits: dict = counter(default_factory=dict)
+    misses: dict = counter(default_factory=dict)
     backend: str = "serial"
     workers: int = 1
-    tasks_dispatched: int = 0
+    tasks_dispatched: int = counter()
 
     def note(self, kind: str, hit: bool) -> None:
         bucket = self.hits if hit else self.misses
         bucket[kind] = bucket.get(kind, 0) + 1
-
-    def as_dict(self) -> dict:
-        return {"hits": dict(self.hits), "misses": dict(self.misses),
-                "backend": self.backend, "workers": self.workers,
-                "tasks_dispatched": self.tasks_dispatched}
 
 
 @dataclass(frozen=True)
@@ -305,11 +301,11 @@ class DesignSession:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = ResultStore.coerce(store)
-        self.executor = make_executor(backend, workers)
-        self.workers = self.executor.workers
+        self.stats = DesignSessionStats()
+        self.executor = make_executor(backend, workers, self.stats)
+        self.workers = self.stats.workers = self.executor.workers
+        self.stats.backend = self.executor.name
         self.accuracy_spec = accuracy if accuracy is not None else DEFAULT_ACCURACY_SPEC
-        self.stats = DesignSessionStats(backend=self.executor.name,
-                                        workers=self.executor.workers)
         self._emulation = emulation
         self._owns_emulation = emulation is None
         self._memo: dict[tuple, Future] = {}
@@ -317,10 +313,8 @@ class DesignSession:
         self._lock = threading.Lock()
         self._closed = False
         REGISTRY.register_object(
-            self, lambda session: session.stats.as_dict(),
-            prefix="repro_design",
-            labels={"instance": REGISTRY.next_instance("design")},
-            counters={"hits", "misses", "tasks_dispatched"})
+            self, lambda session: session.stats, prefix="repro_design",
+            labels={"instance": REGISTRY.next_instance("design")})
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -338,7 +332,6 @@ class DesignSession:
     def close(self) -> None:
         """Shut the backend down, drop all caches, close an owned emulation."""
         self.executor.close()
-        self.stats.tasks_dispatched = self.executor.tasks_dispatched
         if self._owns_emulation and self._emulation is not None:
             self._emulation.close()
             self._emulation = None
@@ -695,5 +688,4 @@ class DesignSession:
                 [points[i] for i in missing])
             for i, report in zip(missing, fresh):
                 reports[i] = report
-        self.stats.tasks_dispatched = self.executor.tasks_dispatched
         return reports

@@ -169,13 +169,15 @@ def _attached(state: dict, fn):
 
 
 class SerialExecutor:
-    """Inline execution; the reference every other backend must match."""
+    """Inline execution; the reference every other backend must match.
+
+    It dispatches no tasks, so it never touches the owner's ``stats``.
+    """
 
     name = "serial"
 
-    def __init__(self, workers: int = 1):
+    def __init__(self, workers: int = 1, stats=None):
         self.workers = 1
-        self.tasks_dispatched = 0
 
     def run_points(self, pa, pb, points, shape, chunk_rows=None):
         return fp_ip_points(pa, pb, points, chunk_rows=chunk_rows)
@@ -188,13 +190,17 @@ class SerialExecutor:
 
 
 class ThreadExecutor:
-    """Thread-pool fan-out (NumPy kernels release the GIL)."""
+    """Thread-pool fan-out (NumPy kernels release the GIL).
+
+    Every task handed to the pool is counted in ``stats.tasks_dispatched``
+    of the owner's stats record, when one is given.
+    """
 
     name = "thread"
 
-    def __init__(self, workers: int):
+    def __init__(self, workers: int, stats=None):
         self.workers = max(1, int(workers))
-        self.tasks_dispatched = 0
+        self.stats = stats
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
 
@@ -227,8 +233,7 @@ class ThreadExecutor:
                                         _slab(pb, shape, lo, hi), points,
                                         chunk_rows=chunk_rows)
             futures = [pool.submit(traced, lo, hi) for lo, hi in spans]
-        with self._lock:
-            self.tasks_dispatched += len(futures)
+        self._count(len(futures))
         return _concat_results([f.result() for f in futures])
 
     def map(self, fn, items) -> list:
@@ -240,9 +245,13 @@ class ThreadExecutor:
         if state is not None:
             fn = _attached(state, fn)
         futures = [pool.submit(fn, item) for item in items]
-        with self._lock:
-            self.tasks_dispatched += len(futures)
+        self._count(len(futures))
         return [f.result() for f in futures]
+
+    def _count(self, tasks: int) -> None:
+        if self.stats is not None:
+            with self._lock:
+                self.stats.tasks_dispatched += tasks
 
     def close(self) -> None:
         with self._lock:
@@ -264,7 +273,11 @@ _BACKEND_CLASSES = {
 }
 
 
-def make_executor(backend=None, workers: int | None = None):
-    """Build an executor from a spec/name/dict plus optional worker override."""
+def make_executor(backend=None, workers: int | None = None, stats=None):
+    """Build an executor from a spec/name/dict plus optional worker override.
+
+    ``stats`` is the owner's stats record whose ``tasks_dispatched`` the
+    executor counts into.
+    """
     spec = resolve_executor_spec(backend, workers)
-    return _BACKEND_CLASSES[spec.backend](spec.resolved_workers)
+    return _BACKEND_CLASSES[spec.backend](spec.resolved_workers, stats)

@@ -45,7 +45,7 @@ from repro.ipu.engine import (
     pack_operands,
 )
 from repro.ipu.reference import cpu_fp32_dot_batch
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Stats, counter
 from repro.obs.trace import trace_span
 from repro.store import ResultStore
 from repro.store.fingerprint import fingerprint as _result_key
@@ -61,39 +61,23 @@ MIN_PARALLEL_ROWS = 4096
 
 
 @dataclass
-class SessionStats:
+class SessionStats(Stats):
     """Plan-cache and executor counters (observability for sizing decisions).
 
     ``backend``/``workers`` describe the execution backend;
     ``tasks_dispatched`` counts tasks actually handed to a pool (proof that
-    the pool engaged).
+    the pool engaged) — the executor counts straight into this record.
     """
 
-    plan_hits: int = 0
-    plan_misses: int = 0
-    plan_evictions: int = 0
+    plan_hits: int = counter()
+    plan_misses: int = counter()
+    plan_evictions: int = counter()
     plan_bytes: int = 0
-    kernel_rows: int = 0
-    parallel_batches: int = 0
+    kernel_rows: int = counter()
+    parallel_batches: int = counter()
     backend: str = "serial"
     workers: int = 1
-    tasks_dispatched: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-# SessionStats fields that are monotonic counters (the rest are gauges or
-# descriptive strings); shared by the metrics adapter below.
-_SESSION_COUNTERS = frozenset({
-    "plan_hits", "plan_misses", "plan_evictions", "kernel_rows",
-    "parallel_batches", "tasks_dispatched",
-})
-
-
-def _collect_session_stats(session: "EmulationSession") -> dict:
-    session._sync_executor_stats()
-    return session.stats.as_dict()
+    tasks_dispatched: int = counter()
 
 
 def _fingerprint(values: np.ndarray, fmt: FPFormat) -> tuple[tuple, np.ndarray]:
@@ -190,34 +174,29 @@ class EmulationSession:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = ResultStore.coerce(store)
-        self.executor = make_executor(backend, workers)
-        self.workers = self.executor.workers
+        self.stats = SessionStats()
+        self.executor = make_executor(backend, workers, self.stats)
+        self.workers = self.stats.workers = self.executor.workers
+        self.stats.backend = self.executor.name
         self.plan_cache_bytes = plan_cache_bytes
         self.chunk_rows = chunk_rows
-        self.stats = SessionStats(backend=self.executor.name,
-                                  workers=self.executor.workers)
         self._plans: OrderedDict[tuple, PackedOperands] = OrderedDict()
         self._plan_lock = threading.Lock()  # callers may share one session
         self._weight_plans: dict = {}
         self._closed = False
         REGISTRY.register_object(
-            self, _collect_session_stats, prefix="repro_session",
-            labels={"instance": REGISTRY.next_instance("emulation")},
-            counters=_SESSION_COUNTERS)
+            self, lambda session: session.stats, prefix="repro_session",
+            labels={"instance": REGISTRY.next_instance("emulation")})
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Shut the execution backend down and drop all cached plans."""
         self.executor.close()
-        self._sync_executor_stats()
         self._plans.clear()
         self._weight_plans.clear()
         self.stats.plan_bytes = 0
         self._closed = True
-
-    def _sync_executor_stats(self) -> None:
-        self.stats.tasks_dispatched = self.executor.tasks_dispatched
 
     def __enter__(self) -> "EmulationSession":
         return self
@@ -365,10 +344,8 @@ class EmulationSession:
         self.stats.parallel_batches += 1
         with trace_span("engine.kernels", rows=rows, kernels=len(points),
                         parallel=True, backend=self.executor.name):
-            results = self.executor.run_points(pa, pb, points, shape,
-                                               chunk_rows=self.chunk_rows)
-        self._sync_executor_stats()
-        return results
+            return self.executor.run_points(pa, pb, points, shape,
+                                            chunk_rows=self.chunk_rows)
 
     @staticmethod
     def _pair_shape(pa: PackedOperands, pb: PackedOperands) -> tuple[int, ...]:
@@ -456,7 +433,7 @@ class EmulationSession:
 
     # -- declarative sweeps ------------------------------------------------
 
-    def sweep(self, spec: RunSpec, rng=None, store=None,
+    def sweep(self, spec: RunSpec, rng=None,
               deadline_seconds: float | None = None) -> PrecisionSweep:
         """Run a :class:`RunSpec` grid (the Figure-3 protocol), streamed.
 
@@ -473,12 +450,12 @@ class EmulationSession:
         ``rng`` overrides ``spec.seed`` (for callers that thread one
         generator through several runs); JSON replays leave it ``None``.
 
-        ``store`` (or the session's ``store=``) persists results across
-        processes: finished sources are stored whole and every computed
-        chunk's exact register values are stored as the sweep streams, both
-        keyed by the spec's stable fingerprint. A killed sweep re-run
-        against the same store replays only the missing chunks; a warm
-        re-run skips kernels entirely. An explicit ``rng`` disables
+        The session's ``store=`` persists results across processes:
+        finished sources are stored whole and every computed chunk's exact
+        register values are stored as the sweep streams, both keyed by the
+        spec's stable fingerprint. A killed sweep re-run against the same
+        store replays only the missing chunks; a warm re-run skips kernels
+        entirely. An explicit ``rng`` disables
         persistence (generator state has no stable fingerprint). Results
         are bit-identical with and without a store: operands are always
         re-sampled (keeping the cross-source generator state exact) and
@@ -493,15 +470,15 @@ class EmulationSession:
         """
         with trace_span("session.sweep", spec=spec.name,
                         sources=len(spec.sources), points=len(spec.points)):
-            return self._sweep_impl(spec, rng, store, deadline_seconds)
+            return self._sweep_impl(spec, rng, deadline_seconds)
 
-    def _sweep_impl(self, spec: RunSpec, rng, store,
+    def _sweep_impl(self, spec: RunSpec, rng,
                     deadline_seconds: float | None) -> PrecisionSweep:
         if self._closed:
             raise RuntimeError("session is closed")
         if not spec.points:
             raise ValueError("RunSpec has no precision points")
-        store = self.store if store is None else ResultStore.coerce(store)
+        store = self.store
         cacheable = store is not None and rng is None
         deadline = (None if deadline_seconds is None
                     else time.monotonic() + deadline_seconds)

@@ -26,7 +26,7 @@ from repro.tile.config import BIG_TILE, CLOCK_GHZ, SMALL_TILE
 from repro.tile.simulator import FP16_ITERATIONS
 from repro.utils.table import render_table
 
-__all__ = ["Fig10Point", "DesignPoint", "run", "render", "pareto_front"]
+__all__ = ["Fig10Point", "run", "render", "pareto_front"]
 
 SOFTWARE_PRECISION_FP32 = 28
 PRECISIONS = (12, 16, 20, 24, 28, BASELINE_ADDER_WIDTH)
@@ -53,10 +53,6 @@ class Fig10Point:
         c = "tile" if self.cluster is None else str(self.cluster)
         return f"({self.precision},{c})"
 
-
-# Historical name, kept for imports; repro.api.DesignPoint is the joint
-# accuracy x efficiency spec, this is Figure 10's (precision, cluster) row.
-DesignPoint = Fig10Point
 
 
 def run(samples: int = 384, rng: int = 31, tiles=(SMALL_TILE, BIG_TILE),
@@ -101,7 +97,7 @@ def pareto_front(points: list[Fig10Point], x: str = "tops_w", y: str = "tflops_w
     return pareto_frontier(points, x, y, within=lambda p: p.tile)
 
 
-def render(points: list[DesignPoint]) -> str:
+def render(points: list[Fig10Point]) -> str:
     blocks = []
     for tile_name in ("small", "big"):
         subset = [p for p in points if p.tile == tile_name]

@@ -142,7 +142,6 @@ def _run_spec(path: str, workers: int | None, backend: str | None = None,
     executor = _session_executor(spec.executor, backend, workers)
     with EmulationSession(backend=executor, store=store) as session:
         sweep = session.sweep(spec)
-        session._sync_executor_stats()
         stats = session.stats.as_dict()
     return render_sweep(sweep, title=spec.name), stats
 
@@ -248,7 +247,7 @@ def _run_search(args) -> int:
         return 2
     print(render_search(result))
     elapsed = round(time.time() - start, 3)
-    stats = session.stats.to_dict()
+    stats = session.stats.as_dict()
     print(f"[search {args.search} rungs={stats['rungs_total']} "
           f"resumed={stats['rungs_resumed']} evaluated={stats['evaluated']} "
           f"computed={stats['computed']} cached={stats['cached']} "

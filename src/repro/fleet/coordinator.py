@@ -35,6 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 from repro.api.spec import spec_from_kind, spec_kind_of
 from repro.chaos.breaker import CLOSED, CircuitBreaker
@@ -42,19 +43,22 @@ from repro.chaos.engine import chaos_hook
 from repro.chaos.errors import InjectedFault
 from repro.chaos.retry import RetryPolicy
 from repro.fleet.shard import ShardPlan
-from repro.obs.metrics import REGISTRY, Family
+from repro.obs.metrics import REGISTRY, Family, Stats, counter
 from repro.obs.trace import (trace_attach, trace_capture, trace_ingest,
                              trace_span, trace_wire)
 from repro.service.client import ServiceClient, ServiceError, _as_spec_dict
 from repro.store import ResultStore
 from repro.store.fingerprint import fingerprint as _fingerprint
 
-__all__ = ["FleetCoordinator", "FleetError", "LocalEndpoint"]
+__all__ = ["FleetCoordinator", "FleetError", "FleetStats", "LocalEndpoint"]
+
+# Per-shard retry schedule when no ``retry=`` policy is given.
+DEFAULT_FLEET_RETRY = RetryPolicy(attempts=4, backoff=0.25, max_backoff=4.0)
 
 
 class FleetError(RuntimeError):
-    """The fleet could not complete a sweep (all endpoints dead, retries
-    exhausted, or a shard job failed deterministically)."""
+    """The fleet could not complete a sweep (retries exhausted, or a shard
+    job failed deterministically)."""
 
 
 class LocalEndpoint:
@@ -126,17 +130,26 @@ def _as_endpoint(endpoint, token: str | None):
     raise TypeError(f"cannot use {type(endpoint).__name__} as a fleet endpoint")
 
 
-def _collect_fleet_metrics(coordinator) -> list:
-    """Metrics-registry adapter: shard/retry counters plus one breaker-state
-    gauge per endpoint (0 closed, 1 half-open, 2 open), so a scrape sees
-    breaker flips and retry storms without parsing ``stats()``."""
+@dataclass
+class FleetStats(Stats):
+    """The coordinator's counters: the one store read by both
+    :meth:`FleetCoordinator.stats` and the ``repro_fleet_*`` metrics."""
+
+    shards_completed: int = counter()
+    shards_skipped_warm: int = counter()  # served from the coordinator's store
+    shards_local: int = counter()         # ran on the local fallback service
+    retries: int = counter()
+    redispatches: int = counter()         # landed on a non-preferred endpoint
+    rejoins: int = counter()              # open breakers closed by a probe
+    stragglers: list = field(default_factory=list)
+
+
+def _collect_endpoint_families(coordinator) -> list:
+    """Metrics-registry adapter for the per-endpoint families: jobs and one
+    breaker-state gauge per endpoint (0 closed, 1 half-open, 2 open), so a
+    scrape sees breaker flips without parsing ``stats()``."""
     base = dict(coordinator._metrics_labels)
     with coordinator._lock:
-        counters = Family("repro_fleet", "counter", "Fleet coordinator counters.")
-        for name in ("shards_completed", "shards_skipped_warm", "shards_local",
-                     "retries", "redispatches", "rejoins"):
-            counters.add(getattr(coordinator, f"_{name}"),
-                         {**base, "counter": name}, suffix="_total")
         jobs = Family("repro_fleet_endpoint_jobs", "counter",
                       "Jobs completed per endpoint.")
         state = Family("repro_fleet_breaker_state", "gauge",
@@ -146,7 +159,7 @@ def _collect_fleet_metrics(coordinator) -> list:
             labels = {**base, "endpoint": ep.url}
             jobs.add(coordinator._jobs_by_endpoint[i], labels, suffix="_total")
             state.add(order.get(coordinator._breakers[i].state, 2), labels)
-    return [counters, jobs, state]
+    return [jobs, state]
 
 
 def _is_deterministic(exc: ServiceError) -> bool:
@@ -162,10 +175,10 @@ def _is_deterministic(exc: ServiceError) -> bool:
 class FleetCoordinator:
     """See module docstring.
 
-    ``shards=None`` defaults to one shard per endpoint. ``retries`` bounds
-    *additional* attempts per shard beyond the first, with exponential
-    backoff ``backoff * 2**attempt`` capped at ``max_backoff`` between
-    attempts. ``timeout`` is per shard attempt (submit + long-poll).
+    ``shards=None`` defaults to one shard per endpoint. ``retry`` (a
+    :class:`~repro.chaos.RetryPolicy`, default four attempts with backoff
+    0.25 s doubling up to 4 s) bounds the attempts per shard. ``timeout``
+    is per shard attempt (submit + long-poll).
 
     ``store`` (a :class:`~repro.store.ResultStore` or directory path) adds
     coordinator-side result caching: each shard's finished service payload
@@ -177,21 +190,14 @@ class FleetCoordinator:
     The endpoints' own stores are unrelated (and may not be shared
     filesystems); this cache lives with the coordinator.
 
-    ``retry`` overrides the retries/backoff/max_backoff trio with an
-    explicit :class:`~repro.chaos.RetryPolicy`. ``breaker_cooldown``
-    (seconds) is how long a failed endpoint sits out before the next
-    health-probed rejoin attempt. ``local_fallback=False`` restores the
-    pre-chaos behavior of raising :class:`FleetError` when every endpoint
-    is down.
+    ``breaker_cooldown`` (seconds) is how long a failed endpoint sits out
+    before the next health-probed rejoin attempt.
     """
 
     def __init__(self, endpoints, shards: int | None = None,
-                 timeout: float = 600.0, retries: int = 3,
-                 backoff: float = 0.25, max_backoff: float = 4.0,
-                 token: str | None = None, store=None,
+                 timeout: float = 600.0, token: str | None = None, store=None,
                  retry: RetryPolicy | None = None,
-                 breaker_cooldown: float = 2.0,
-                 local_fallback: bool = True):
+                 breaker_cooldown: float = 2.0):
         self.endpoints = [_as_endpoint(e, token) for e in endpoints]
         if not self.endpoints:
             raise ValueError("a fleet needs at least one endpoint")
@@ -199,27 +205,19 @@ class FleetCoordinator:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
         self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
-        self.retry = retry if retry is not None else RetryPolicy(
-            attempts=retries + 1, backoff=backoff, max_backoff=max_backoff)
-        self.local_fallback = local_fallback
+        self.retry = DEFAULT_FLEET_RETRY if retry is None else retry
         self.store = ResultStore.coerce(store)
         self._lock = threading.Lock()
         self._breakers = [CircuitBreaker(cooldown=breaker_cooldown)
                           for _ in self.endpoints]
         self._local_service = None
         self._jobs_by_endpoint = [0] * len(self.endpoints)
-        self._retries = 0
-        self._redispatches = 0
-        self._rejoins = 0
-        self._stragglers: list[dict] = []
-        self._shards_completed = 0
-        self._shards_skipped_warm = 0
-        self._shards_local = 0
+        self._stats = FleetStats()
         self._metrics_labels = {"instance": REGISTRY.next_instance("fleet")}
-        REGISTRY.register_object(self, _collect_fleet_metrics,
+        REGISTRY.register_object(self, lambda fleet: fleet._stats,
+                                 prefix="repro_fleet",
+                                 labels=self._metrics_labels)
+        REGISTRY.register_object(self, _collect_endpoint_families,
                                  prefix="repro_fleet")
 
     # -- dispatch ----------------------------------------------------------
@@ -304,7 +302,7 @@ class FleetCoordinator:
                                           self._payload_key(kind, spec))
             if payload is not None:
                 with self._lock:
-                    self._shards_skipped_warm += 1
+                    self._stats.shards_skipped_warm += 1
                 return payload
         payload = self._run_shard(kind, index, spec, timeout=timeout)
         spans = payload.pop("trace_spans", None)
@@ -334,7 +332,7 @@ class FleetCoordinator:
             return False
         breaker.record_success()
         with self._lock:
-            self._rejoins += 1
+            self._stats.rejoins += 1
         return True
 
     def _live_rotation(self, start: int):
@@ -353,11 +351,7 @@ class FleetCoordinator:
         for attempt in range(self.retry.attempts):
             rotation = self._live_rotation(preferred)
             if not rotation:
-                if self.local_fallback:
-                    return self._run_local(kind, index, spec, timeout)
-                raise FleetError(
-                    f"shard {index}: all {len(self.endpoints)} fleet "
-                    f"endpoints are dead (last error: {last_error})")
+                return self._run_local(kind, index, spec, timeout)
             for ep_idx in rotation:
                 endpoint = self.endpoints[ep_idx]
                 try:
@@ -377,9 +371,9 @@ class FleetCoordinator:
                     continue  # try the next live endpoint, no backoff
                 with self._lock:
                     self._jobs_by_endpoint[ep_idx] += 1
-                    self._shards_completed += 1
+                    self._stats.shards_completed += 1
                     if ep_idx != preferred:  # landed on a survivor
-                        self._redispatches += 1
+                        self._stats.redispatches += 1
                 return payload
             delay = next(delays, None)
             if delay is None:
@@ -403,7 +397,7 @@ class FleetCoordinator:
         if not alive:
             self._breakers[ep_idx].record_failure()
         with self._lock:
-            self._retries += 1
+            self._stats.retries += 1
 
     # -- graceful degradation ----------------------------------------------
 
@@ -426,8 +420,8 @@ class FleetCoordinator:
             ticket = endpoint.submit(spec, kind=kind)
             payload = endpoint.result(ticket["job"], timeout=timeout)
         with self._lock:
-            self._shards_local += 1
-            self._shards_completed += 1
+            self._stats.shards_local += 1
+            self._stats.shards_completed += 1
         return payload
 
     def close(self) -> None:
@@ -447,7 +441,7 @@ class FleetCoordinator:
             for shard in plan.shards:
                 d = durations[shard.index]
                 if median > 0 and d > 2.0 * median:
-                    self._stragglers.append(
+                    self._stats.stragglers.append(
                         {"shard": shard.index, "seconds": round(d, 3),
                          "median_seconds": round(median, 3),
                          "sweep_seconds": round(total, 3)})
@@ -462,11 +456,5 @@ class FleetCoordinator:
                      "state": self._breakers[i].state,
                      "dead": self._breakers[i].state != CLOSED}
                     for i, ep in enumerate(self.endpoints)],
-                "shards_completed": self._shards_completed,
-                "shards_skipped_warm": self._shards_skipped_warm,
-                "shards_local": self._shards_local,
-                "retries": self._retries,
-                "redispatches": self._redispatches,
-                "rejoins": self._rejoins,
-                "stragglers": list(self._stragglers),
+                **self._stats.as_dict(),
             }

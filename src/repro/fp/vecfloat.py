@@ -117,17 +117,3 @@ def product_exponents(a: DecodedArray, b: DecodedArray) -> np.ndarray:
     """Element-wise product exponents ``ê_a + ê_b`` (EHU stage 1)."""
     return a.unbiased_exp + b.unbiased_exp
 
-
-def reference_dot_fp32(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
-    """FP32-CPU reference dot product the paper compares against."""
-    return np.sum(np.asarray(a, np.float32) * np.asarray(b, np.float32), axis=axis, dtype=np.float32)
-
-
-def reference_dot_exact(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact dot product of two 1-D arrays via Fraction-free integer math."""
-    from repro.utils.fixedpoint import FixedPoint
-
-    acc = FixedPoint.zero()
-    for x, y in zip(np.asarray(a, np.float64), np.asarray(b, np.float64)):
-        acc = acc + FixedPoint.from_float(float(x)) * FixedPoint.from_float(float(y))
-    return acc.to_float()

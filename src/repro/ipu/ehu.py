@@ -22,9 +22,7 @@ Figure-3 sweeps) are provided and cross-checked in the tests.
 
 Stage 5's serve cycle never decreases as the shift grows, so the
 sequential schedule's length is set by the worst unmasked shift alone
-(:func:`worst_shift`), which does not depend on the adder width. Only the
-``skip_empty_cycles`` ablation, which counts occupied partitions, looks at
-every lane.
+(:func:`worst_shift`), which does not depend on the adder width.
 """
 
 from __future__ import annotations
@@ -128,7 +126,6 @@ def mc_cycle_counts(
     sp: int,
     adder_width: int,
     software_precision: int,
-    skip_empty_cycles: bool = False,
 ) -> np.ndarray:
     """Cycles per nibble iteration for batches of inner products.
 
@@ -141,9 +138,6 @@ def mc_cycle_counts(
     adder_width:
         ``w``. When ``w >= software_precision`` the unit is a plain
         truncating IPU and every iteration takes exactly one cycle.
-    skip_empty_cycles:
-        Ablation knob: a smarter stage-5 that jumps over empty partitions
-        (cycles = number of occupied partitions instead of max index + 1).
 
     Returns an int array of shape ``(...,)``.
     """
@@ -152,13 +146,5 @@ def mc_cycle_counts(
     batch_shape = shifts.shape[:-1]
     if adder_width >= software_precision:
         return np.ones(batch_shape, dtype=np.int64)
-    if not skip_empty_cycles:
-        # sequential thresholds: the worst unmasked shift's partition + 1
-        return serve_cycles(worst_shift(shifts, masked), sp) + 1
-    # occupied-partition count (ablation)
-    cycles_per_prod = np.where(masked, -1, serve_cycles(shifts, sp))
-    last = int(cycles_per_prod.max(initial=0))
-    counts = np.zeros(batch_shape, dtype=np.int64)
-    for c in range(last + 1):
-        counts += np.any(cycles_per_prod == c, axis=-1)
-    return np.maximum(counts, 1)
+    # sequential thresholds: the worst unmasked shift's partition + 1
+    return serve_cycles(worst_shift(shifts, masked), sp) + 1

@@ -5,10 +5,10 @@ Two halves, both ~zero-cost when disarmed:
 * :mod:`repro.obs.trace` — hierarchical spans with a Dapper-style trace id
   that survives thread pools and HTTP hops (``X-Repro-Trace`` header).  Disarmed, every hook is a single module-global load and ``None``
   check, mirroring ``repro.chaos``.
-* :mod:`repro.obs.metrics` — a pull-based registry (counters, gauges,
-  histograms with fixed buckets) that existing stats objects register into
-  via weakref adapters; rendered as Prometheus text exposition by
-  ``GET /v1/metrics`` on the sweep service.
+* :mod:`repro.obs.metrics` — a pull-based registry that renders each
+  owner's stats dataclass (fields declared with ``counter()`` become
+  counters) through weakref adapters, as Prometheus text exposition on
+  ``GET /v1/metrics`` of the sweep service.
 
 Export surfaces live in :mod:`repro.obs.export`: Chrome trace-event JSON
 (``runner --trace out.json``, loadable in Perfetto) and a per-phase
@@ -31,11 +31,11 @@ from repro.obs.trace import (
 )
 from repro.obs.metrics import (
     REGISTRY,
-    Counter,
     Family,
-    Gauge,
     Histogram,
     MetricsRegistry,
+    Stats,
+    counter,
 )
 from repro.obs.export import profile_tree, render_profile, to_chrome_trace, trace_roots
 
@@ -53,11 +53,11 @@ __all__ = [
     "trace_span",
     "trace_wire",
     "REGISTRY",
-    "Counter",
     "Family",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Stats",
+    "counter",
     "profile_tree",
     "render_profile",
     "to_chrome_trace",

@@ -1,27 +1,30 @@
 """Unified pull-based metrics registry with Prometheus text exposition.
 
-The registry is *pull-based*: nothing on a hot path ever touches it.  The
-existing stats objects (``SessionStats``, ``StoreStats``, service stats,
-fleet stats, chaos stats, ...) keep their public APIs; each owner registers
-a weakref **adapter** — ``collect_fn(obj) -> dict`` — and the registry walks
-the live adapters only when scraped (``GET /v1/metrics`` or
-``REGISTRY.render()``).  Dead weakrefs are pruned on collect, so the many
-short-lived sessions created by tests never leak.
+The registry is *pull-based*: nothing on a hot path ever touches it. Every
+counter lives in one place, a field of its owner's stats dataclass (a
+:class:`Stats` subclass: ``SessionStats``, ``StoreStats``, ``ServiceStats``,
+``FleetStats``, ...). Each owner registers a weakref **adapter** —
+``collect_fn(obj)`` returning that stats object — and the registry renders
+its fields only when scraped (``GET /v1/metrics`` or ``REGISTRY.render()``).
+The owner's ``.stats``/``stats()`` JSON surfaces read the same object, so
+the surfaces cannot disagree. Dead weakrefs are pruned on collect, so the
+many short-lived sessions created by tests never leak.
 
-Adapter value conventions:
+Field rendering conventions:
 
-* numeric value                      -> one sample
-* ``dict[str, number]`` value        -> one sample per entry, keyed by a
-  ``key=...`` label (e.g. per-source hit counts, per-site chaos calls)
-* string value                       -> folded into a ``<prefix>_info`` gauge
+* numeric field                      -> one sample
+* ``dict[str, number]`` field        -> one sample per entry, keyed by a
+  ``key=...`` label (e.g. per-kind design-cache hits)
+* string field                       -> folded into a ``<prefix>_info`` gauge
   as a label (Prometheus "info" idiom)
-* names listed in ``counters=``      -> typed ``counter`` and suffixed
-  ``_total``; everything else is a ``gauge``
+* bool field                         -> 0/1
+* field declared with :func:`counter` -> typed ``counter`` and suffixed
+  ``_total``; every other field is a ``gauge``
+* anything else (``None``, lists)    -> not rendered
 
-Direct instruments (:class:`Counter`, :class:`Gauge`, :class:`Histogram`
-with fixed buckets) exist for coarse events with no stats object — e.g. the
-sweep service's per-job wall-time histogram — and are returned from adapters
-as ready-made :class:`Family` rows.
+Families a flat dataclass cannot express (labelled by job status, endpoint
+or chaos site; the :class:`Histogram` of per-job wall time) are returned
+from an adapter as a list of ready-made :class:`Family` rows.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Callable, Optional, Sequence
 
 __all__ = [
-    "Counter",
-    "Gauge",
+    "Stats",
+    "counter",
     "Histogram",
     "Family",
     "MetricsRegistry",
@@ -86,36 +89,25 @@ class Family:
         self.samples.append((suffix, dict(labels or {}), value))
 
 
-class Counter:
-    """Monotonic counter (thread-safe)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
+_COUNTER = {"counter": True}
 
 
-class Gauge:
-    """Last-write-wins gauge (thread-safe)."""
+def counter(default=0, *, default_factory=None):
+    """Declare a stats-dataclass field as a monotonic counter.
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.value = 0.0
+    The registry renders it as a ``<prefix>_<name>_total`` counter; the
+    field itself is the counter's only store.
+    """
+    if default_factory is not None:
+        return field(default_factory=default_factory, metadata=_COUNTER)
+    return field(default=default, metadata=_COUNTER)
 
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
+class Stats:
+    """Base of every stats dataclass: one ``as_dict()`` JSON view."""
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 DEFAULT_BUCKETS = (0.005, 0.025, 0.1, 0.5, 1.0, 2.5, 10.0, 60.0)
@@ -177,53 +169,43 @@ class MetricsRegistry:
         *,
         prefix: str,
         labels: Optional[dict] = None,
-        counters: Iterable[str] = (),
-        help_text: Optional[dict] = None,
     ) -> None:
         """Register ``obj`` via a weakref; ``collect_fn(obj)`` runs at scrape.
 
-        ``collect_fn`` may return a flat dict (converted per the module
-        conventions) or a list of ready-made :class:`Family` rows.
+        ``collect_fn`` returns a :class:`Stats` dataclass (rendered per the
+        module conventions) or a list of ready-made :class:`Family` rows.
         """
         entry = {
             "ref": weakref.ref(obj),
             "fn": collect_fn,
             "prefix": prefix,
             "labels": dict(labels or {}),
-            "counters": frozenset(counters),
-            "help": dict(help_text or {}),
         }
         with self._lock:
             self._adapters.append(entry)
 
     def _families_for(self, entry: dict, obj: Any) -> list:
-        raw = entry["fn"](obj)
-        if isinstance(raw, list):  # pre-built families
-            return raw
+        stats = entry["fn"](obj)
+        if isinstance(stats, list):  # pre-built families
+            return stats
         prefix, labels = entry["prefix"], entry["labels"]
-        counters, helps = entry["counters"], entry["help"]
         families = []
         info_labels: dict = {}
-        for key, value in raw.items():
+        for f in fields(stats):
+            value = getattr(stats, f.name)
             if isinstance(value, str):
-                info_labels[key] = value
+                info_labels[f.name] = value
                 continue
-            if isinstance(value, bool):
-                value = int(value)
-            is_counter = key in counters
-            name = f"{prefix}_{key}"
+            is_counter = f.metadata.get("counter", False)
+            name = f"{prefix}_{f.name}"
             if is_counter and not name.endswith("_total"):
                 name += "_total"
-            fam = Family(
-                name=name,
-                kind="counter" if is_counter else "gauge",
-                help=helps.get(key, ""),
-            )
+            fam = Family(name=name, kind="counter" if is_counter else "gauge")
             if isinstance(value, dict):
-                for sub, subval in value.items():
+                for sub, subval in list(value.items()):
                     if isinstance(subval, (int, float)):
                         fam.add(subval, {**labels, "key": str(sub)})
-            elif isinstance(value, (int, float)):
+            elif isinstance(value, (int, float)):  # bools render as 0/1
                 fam.add(value, labels)
             else:
                 continue

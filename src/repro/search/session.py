@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.api.design import DesignReport, DesignSession
 from repro.api.spec import DesignSweepSpec
 from repro.chaos.errors import DeadlineExceeded
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Stats, counter
 from repro.obs.trace import trace_span
 from repro.search.halving import RungSpec, SearchSpec, keep_count, select_survivors
 from repro.search.space import Candidate
@@ -155,19 +155,12 @@ def render_search(result: SearchResult) -> str:
 
 
 @dataclass
-class SearchSessionStats:
-    rungs_total: int = 0
-    rungs_resumed: int = 0
-    evaluated: int = 0  # candidate evaluations attempted (non-resumed rungs)
-    computed: int = 0   # of those, computed fresh
-    cached: int = 0     # of those, served from the store
-
-    def to_dict(self) -> dict:
-        return {"rungs_total": self.rungs_total,
-                "rungs_resumed": self.rungs_resumed,
-                "evaluated": self.evaluated,
-                "computed": self.computed,
-                "cached": self.cached}
+class SearchSessionStats(Stats):
+    rungs_total: int = counter()
+    rungs_resumed: int = counter()
+    evaluated: int = counter()  # candidate evaluations attempted (non-resumed rungs)
+    computed: int = counter()   # of those, computed fresh
+    cached: int = counter()     # of those, served from the store
 
 
 class SearchSession:
@@ -205,11 +198,8 @@ class SearchSession:
         self.fleet = fleet
         self.stats = SearchSessionStats()
         REGISTRY.register_object(
-            self, lambda session: session.stats.to_dict(),
-            prefix="repro_search",
-            labels={"instance": REGISTRY.next_instance("search")},
-            counters=frozenset({"rungs_total", "rungs_resumed", "evaluated",
-                                "computed", "cached"}))
+            self, lambda session: session.stats, prefix="repro_search",
+            labels={"instance": REGISTRY.next_instance("search")})
 
     def close(self) -> None:
         if self._owns_design:

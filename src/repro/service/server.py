@@ -17,9 +17,9 @@ optional persistent :class:`~repro.store.ResultStore`) behind a JSON API::
 Jobs run on a sized worker pool (``queue_workers``; HTTP handler threads
 only enqueue and wait). Identical in-flight requests **coalesce**: two
 clients posting specs with the same result fingerprint share one queued job
-— the second POST returns the first's job id with ``"coalesced": true`` —
-and a per-``(kind, fingerprint)`` compute lock guarantees two workers never
-run one fingerprint concurrently even on paths that bypass the coalescer.
+— the second POST returns the first's job id with ``"coalesced": true``.
+Every job enters through the coalescer and leaves it only when its compute
+ends, so two workers never run one fingerprint concurrently.
 A ``queue_cap`` bounds the number of *queued* (not yet running) jobs: a
 submit against a full queue is refused with :class:`ServiceBusy` (HTTP 429
 plus a ``Retry-After`` hint) instead of blocking the accept loop; accepted
@@ -66,7 +66,7 @@ from repro.api.session import sweep_points_to_dicts
 from repro.api.spec import spec_from_kind
 from repro.chaos.engine import chaos_hook, current_engine
 from repro.obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
-from repro.obs.metrics import REGISTRY, Family, Histogram
+from repro.obs.metrics import REGISTRY, Family, Histogram, Stats, counter
 from repro.obs.trace import (
     TRACE_HEADER,
     ensure_armed,
@@ -75,7 +75,7 @@ from repro.obs.trace import (
 )
 from repro.store import ResultStore
 
-__all__ = ["SweepService", "ServiceServer", "ServiceBusy", "Job"]
+__all__ = ["SweepService", "ServiceServer", "ServiceBusy", "ServiceStats", "Job"]
 
 # Cap one long-poll's server-side wait; clients loop for longer timeouts.
 MAX_WAIT_SECONDS = 60.0
@@ -142,45 +142,41 @@ class Job:
 _JOB_SECONDS_BUCKETS = (0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0, 600.0)
 
 
-def _collect_service_metrics(service: "SweepService") -> list:
-    """Metrics adapter: service-layer families for the global registry.
+@dataclass
+class ServiceStats(Stats):
+    """The service's own counters and gauges: the one store read by both
+    :meth:`SweepService.stats` and the ``repro_service_*`` metrics."""
 
-    The embedded sessions and store register their own adapters at
-    construction, so this only covers what the service itself owns — job
-    lifecycle, queue pressure, per-job wall time — plus the chaos engine's
+    coalesced: int = counter()       # submissions joined onto an in-flight twin
+    rejected_busy: int = counter()   # submissions refused with ServiceBusy
+    jobs_completed: int = counter()  # jobs finished (done or error)
+    queue_depth: int = 0             # jobs enqueued, not yet picked up
+    uptime_seconds: float = 0.0      # refreshed on every read
+    # per-job wall time: what the fleet coordinator sizes retry hints and
+    # shard budgets from (the moving average also sizes Retry-After)
+    avg_job_seconds: float | None = None
+    last_job_seconds: float | None = None
+
+
+def _round6(seconds: float | None) -> float | None:
+    return None if seconds is None else round(seconds, 6)
+
+
+def _collect_service_families(service: "SweepService") -> list:
+    """Metrics adapter for what :class:`ServiceStats` cannot express: jobs
+    by status, the per-job wall-time histogram, and the chaos engine's
     counters when one is armed (the engine is process-global and has no
-    natural registration point of its own).
-    """
+    natural registration point of its own)."""
     labels = service._metrics_labels
     with service._lock:
         jobs = list(service._jobs.values())
-        queued = service._queued
-    families = []
-
-    def single(name, kind, value, help_text):
-        fam = Family(name=name, kind=kind, help=help_text)
-        fam.add(value, labels)
-        families.append(fam)
-
     by_status = Family(name="repro_service_jobs", kind="gauge",
                        help="Currently retained jobs by status.")
     for status in ("queued", "running", "done", "error"):
         by_status.add(sum(1 for j in jobs if j.status == status),
                       {**labels, "status": status})
-    families.append(by_status)
-    single("repro_service_queue_depth", "gauge", queued,
-           "Jobs enqueued but not yet picked up by a worker.")
-    single("repro_service_coalesced_total", "counter", service.coalesced,
-           "Submissions coalesced onto an in-flight twin.")
-    single("repro_service_rejected_busy_total", "counter",
-           service.rejected_busy, "Submissions refused with HTTP 429.")
-    single("repro_service_jobs_completed_total", "counter",
-           service._jobs_completed, "Jobs finished (done or error).")
-    single("repro_service_uptime_seconds", "gauge",
-           round(time.time() - service.started_at, 3),
-           "Seconds since the service started.")
-    families.append(service._job_seconds.family(
-        "repro_service_job_seconds", labels, "Per-job wall time (seconds)."))
+    families = [by_status, service._job_seconds.family(
+        "repro_service_job_seconds", labels, "Per-job wall time (seconds).")]
     engine = current_engine()
     if engine is not None:
         stats = engine.stats()
@@ -204,8 +200,8 @@ class SweepService:
     :class:`repro.fleet.LocalEndpoint` drive it both ways).
 
     ``queue_workers`` sizes the worker pool draining the job queue (the
-    sessions are concurrency-safe; distinct jobs run in parallel while a
-    per-``(kind, fingerprint)`` lock keeps identical work serialized).
+    sessions are concurrency-safe; distinct jobs run in parallel, and the
+    coalescer keeps identical work from ever running twice at once).
     ``queue_cap`` bounds *queued* jobs — a submit beyond it raises
     :class:`ServiceBusy` with a ``retry_after`` hint instead of blocking;
     ``None`` leaves the queue unbounded (the PR-5 behavior).
@@ -227,23 +223,19 @@ class SweepService:
         self.design = DesignSession(workers=workers, backend=backend,
                                     emulation=self.emulation, store=self.store)
         self.started_at = time.time()
-        self.coalesced = 0
-        self.rejected_busy = 0
+        self._stats = ServiceStats()
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[tuple[str, str], Job] = {}
-        self._fp_locks: dict[tuple[str, str], list] = {}  # key -> [lock, refs]
         self._queue: queue.Queue[Job | None] = queue.Queue()
-        self._queued = 0  # jobs enqueued but not yet picked up by a worker
-        self._avg_job_seconds: float | None = None
-        # per-job wall-time telemetry (finished jobs get pruned, so the
-        # counters live here rather than being derived from _jobs)
-        self._jobs_completed = 0
-        self._job_wall_seconds = 0.0
-        self._last_job_seconds: float | None = None
+        # finished jobs get pruned, so per-job wall time is kept here
+        # rather than derived from _jobs
         self._job_seconds = Histogram(_JOB_SECONDS_BUCKETS)
         self._metrics_labels = {
             "instance": REGISTRY.next_instance("service")}
-        REGISTRY.register_object(self, _collect_service_metrics,
+        REGISTRY.register_object(self, lambda service: service._fresh_stats(),
+                                 prefix="repro_service",
+                                 labels=self._metrics_labels)
+        REGISTRY.register_object(self, _collect_service_families,
                                  prefix="repro_service")
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -268,8 +260,8 @@ class SweepService:
 
         The average job duration times the queue depth per worker — crude,
         but it scales the hint with actual load instead of a constant."""
-        avg = self._avg_job_seconds if self._avg_job_seconds else MIN_RETRY_AFTER
-        hint = avg * max(1, self._queued) / self.queue_workers
+        avg = self._stats.avg_job_seconds or MIN_RETRY_AFTER
+        hint = avg * max(1, self._stats.queue_depth) / self.queue_workers
         return min(MAX_RETRY_AFTER, max(MIN_RETRY_AFTER, hint))
 
     def submit(self, kind: str, spec_dict: dict,
@@ -296,19 +288,20 @@ class SweepService:
                 raise RuntimeError("service is closed")
             twin = self._inflight.get((kind, fingerprint))
             if twin is not None:  # coalesced joins never count against the cap
-                self.coalesced += 1
+                self._stats.coalesced += 1
                 return twin, True
-            if self.queue_cap is not None and self._queued >= self.queue_cap:
-                self.rejected_busy += 1
+            depth = self._stats.queue_depth
+            if self.queue_cap is not None and depth >= self.queue_cap:
+                self._stats.rejected_busy += 1
                 raise ServiceBusy(
-                    f"job queue is full ({self._queued} queued, cap "
+                    f"job queue is full ({depth} queued, cap "
                     f"{self.queue_cap})", retry_after=self._retry_after_hint())
             job = Job(id=f"job-{next(self._ids)}-{fingerprint[:8]}", kind=kind,
                       fingerprint=fingerprint, spec=spec, created=time.time(),
                       trace=trace)
             self._jobs[job.id] = job
             self._inflight[(kind, fingerprint)] = job
-            self._queued += 1
+            self._stats.queue_depth += 1
             self._queue.put(job)  # unbounded queue: the put never blocks
         return job, False
 
@@ -322,39 +315,13 @@ class SweepService:
 
     # -- the workers -------------------------------------------------------
 
-    def _checkout_fp_lock(self, key: tuple[str, str]) -> threading.Lock:
-        """Refcounted per-(kind, fingerprint) compute lock.
-
-        Coalescing already funnels identical submissions into one job, so
-        contention here is the exception, not the rule — the lock is the
-        guarantee (identical work never runs twice concurrently on the
-        shared sessions), not the scheduler. Distinct fingerprints never
-        wait on each other: the queue itself is not serialized.
-        """
-        with self._lock:
-            entry = self._fp_locks.get(key)
-            if entry is None:
-                entry = [threading.Lock(), 0]
-                self._fp_locks[key] = entry
-            entry[1] += 1
-        return entry[0]
-
-    def _checkin_fp_lock(self, key: tuple[str, str]) -> None:
-        with self._lock:
-            entry = self._fp_locks[key]
-            entry[1] -= 1
-            if entry[1] == 0:  # bounded: entries live only while checked out
-                del self._fp_locks[key]
-
     def _run_jobs(self) -> None:
         while True:
             job = self._queue.get()
             if job is None:
                 return
             with self._lock:
-                self._queued -= 1
-            key = (job.kind, job.fingerprint)
-            fp_lock = self._checkout_fp_lock(key)
+                self._stats.queue_depth -= 1
             job.status = "running"
             job.started = time.time()
             try:
@@ -362,8 +329,7 @@ class SweepService:
                 # server-side, before compute, so results stay bit-identical
                 chaos_hook("service.job", kind=job.kind)
                 if job.trace is None:
-                    with fp_lock:
-                        job.result = self._compute(job)
+                    job.result = self._compute(job)
                 else:
                     # adopt the submitter's trace: the job's spans (and its
                     # sessions'/store's, recursively) are collected and
@@ -373,26 +339,24 @@ class SweepService:
                     with ensure_armed().adopt(job.trace, collector=collected):
                         with trace_span("service.job", kind=job.kind,
                                         job=job.id):
-                            with fp_lock:
-                                result = self._compute(job)
+                            result = self._compute(job)
                     job.result = {**result, "trace_spans": collected}
                 job.status = "done"
             except Exception as exc:  # job errors must not kill the worker
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.status = "error"
             finally:
-                self._checkin_fp_lock(key)
                 job.finished = time.time()
                 duration = job.finished - job.started
                 self._job_seconds.observe(duration)
                 with self._lock:
-                    self._avg_job_seconds = (
-                        duration if self._avg_job_seconds is None
-                        else 0.7 * self._avg_job_seconds + 0.3 * duration)
-                    self._jobs_completed += 1
-                    self._job_wall_seconds += duration
-                    self._last_job_seconds = duration
-                    self._inflight.pop(key, None)
+                    stats = self._stats
+                    stats.avg_job_seconds = (
+                        duration if stats.avg_job_seconds is None
+                        else 0.7 * stats.avg_job_seconds + 0.3 * duration)
+                    stats.jobs_completed += 1
+                    stats.last_job_seconds = duration
+                    self._inflight.pop((job.kind, job.fingerprint), None)
                     self._prune_finished()
                 job.done.set()
 
@@ -438,11 +402,16 @@ class SweepService:
         return {
             "ok": not self._closed,
             "version": __version__,
-            "uptime_seconds": round(time.time() - self.started_at, 3),
-            "queue_depth": self._queued,
+            "uptime_seconds": self._fresh_stats().uptime_seconds,
+            "queue_depth": self._stats.queue_depth,
             "queue_cap": self.queue_cap,
             "workers": self.queue_workers,
         }
+
+    def _fresh_stats(self) -> ServiceStats:
+        """The stats record with its one derived gauge brought up to date."""
+        self._stats.uptime_seconds = round(time.time() - self.started_at, 3)
+        return self._stats
 
     def stats(self) -> dict:
         with self._lock:
@@ -450,24 +419,19 @@ class SweepService:
         counts = {"total": len(jobs)}
         for status in ("queued", "running", "done", "error"):
             counts[status] = sum(1 for j in jobs if j.status == status)
+        st = self._fresh_stats()
         return {
-            "uptime_seconds": round(time.time() - self.started_at, 3),
+            "uptime_seconds": st.uptime_seconds,
             "jobs": counts,
-            "coalesced": self.coalesced,
+            "coalesced": st.coalesced,
             "queue": {"workers": self.queue_workers, "cap": self.queue_cap,
-                      "depth": self._queued,
-                      "rejected_busy": self.rejected_busy},
-            # per-job wall time: what the fleet coordinator sizes retry
-            # hints and shard budgets from
+                      "depth": st.queue_depth,
+                      "rejected_busy": st.rejected_busy},
             "timing": {
-                "jobs_completed": self._jobs_completed,
-                "avg_job_seconds": (
-                    None if self._avg_job_seconds is None
-                    else round(self._avg_job_seconds, 6)),
-                "last_job_seconds": (
-                    None if self._last_job_seconds is None
-                    else round(self._last_job_seconds, 6)),
-                "wall_seconds_total": round(self._job_wall_seconds, 6),
+                "jobs_completed": st.jobs_completed,
+                "avg_job_seconds": _round6(st.avg_job_seconds),
+                "last_job_seconds": _round6(st.last_job_seconds),
+                "wall_seconds_total": round(self._job_seconds.sum, 6),
             },
             "store": None if self.store is None else self.store.stats.as_dict(),
             "emulation": self.emulation.stats.as_dict(),

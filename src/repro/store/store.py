@@ -53,20 +53,16 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.chaos.engine import chaos_hook
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Stats, counter
 from repro.obs.trace import trace_span
 
 __all__ = ["ResultStore", "StoreStats"]
-
-# StoreStats fields that are monotonic counters ("bytes" is a gauge).
-_STORE_COUNTERS = frozenset(
-    {"hits", "misses", "puts", "evictions", "index_rebuilds", "quarantined"})
 
 # Temp files older than this are presumed crashed writers and swept.
 _STALE_TMP_SECONDS = 3600.0
@@ -80,19 +76,16 @@ def _checksum(blob: bytes) -> str:
 
 
 @dataclass
-class StoreStats:
+class StoreStats(Stats):
     """Store counters (the service surfaces these via ``/v1/stats``)."""
 
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
+    hits: int = counter()
+    misses: int = counter()
+    puts: int = counter()
+    evictions: int = counter()
     bytes: int = 0
-    index_rebuilds: int = 0
-    quarantined: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    index_rebuilds: int = counter()
+    quarantined: int = counter()
 
 
 class ResultStore:
@@ -129,9 +122,8 @@ class ResultStore:
         self._index: dict[Path, list] = {}
         self._rebuild_index()
         REGISTRY.register_object(
-            self, lambda store: store.stats.as_dict(), prefix="repro_store",
-            labels={"instance": REGISTRY.next_instance("store")},
-            counters=_STORE_COUNTERS)
+            self, lambda store: store.stats, prefix="repro_store",
+            labels={"instance": REGISTRY.next_instance("store")})
 
     @classmethod
     def coerce(cls, store) -> "ResultStore | None":

@@ -88,7 +88,6 @@ def step_cycle_samples(
     product_exps: np.ndarray,
     adder_width: int | Sequence[int],
     software_precision: int,
-    skip_empty_cycles: bool = False,
 ) -> np.ndarray:
     """Per-step cycles for one nibble iteration, shape ``(samples,)``.
 
@@ -96,22 +95,19 @@ def step_cycle_samples(
     cycles are computed from the exponent spread, then the lockstep maximum
     is taken over the group axis. A sequence of adder widths returns one
     row per width, shape ``(len(widths), samples)``, all priced from one
-    worst-shift reduction (the ``skip_empty_cycles`` ablation is costed
-    per width over every lane).
+    worst-shift reduction.
     """
     widths = [adder_width] if np.ndim(adder_width) == 0 else list(adder_width)
     # an MC adder narrower than one product has no serve schedule at all
     sps = [safe_precision(w, strict=w < software_precision) for w in widths]
     exps = np.asarray(product_exps, dtype=np.int64)
     shifts = exps.max(axis=-1, keepdims=True) - exps
-    masked = shifts >= software_precision
-    if not skip_empty_cycles:
-        # the lockstep cost is the worst unmasked shift's over the whole
-        # group, whatever the width: cost that one shift per step
-        shifts = worst_shift(shifts, masked, axis=(-2, -1))[..., None, None]
-        masked = np.zeros(shifts.shape, dtype=bool)
-    rows = [mc_cycle_counts(shifts, masked, sp, w, software_precision,
-                            skip_empty_cycles).max(axis=-1)
+    # the lockstep cost is the worst unmasked shift's over the whole group,
+    # whatever the width: cost that one shift per step
+    worst = worst_shift(shifts, shifts >= software_precision, axis=(-2, -1))
+    shifts = worst[..., None, None]
+    masked = np.zeros(shifts.shape, dtype=bool)
+    rows = [mc_cycle_counts(shifts, masked, sp, w, software_precision).max(axis=-1)
             for w, sp in zip(widths, sps)]
     return rows[0] if np.ndim(adder_width) == 0 else np.stack(rows)
 
@@ -123,7 +119,6 @@ def expected_step_cycles(
     direction: str = "forward",
     samples: int = 2048,
     rng=None,
-    skip_empty_cycles: bool = False,
     product_exps: np.ndarray | None = None,
 ) -> float:
     """Expected cycles per nibble iteration step for this layer/tile.
@@ -138,9 +133,7 @@ def expected_step_cycles(
             layer, tile.c_unroll, tile.effective_cluster_size, samples,
             direction=direction, rng=rng,
         )
-    per_step = step_cycle_samples(
-        product_exps, tile.adder_width, software_precision, skip_empty_cycles
-    )
+    per_step = step_cycle_samples(product_exps, tile.adder_width, software_precision)
     return float(per_step.mean())
 
 
@@ -162,13 +155,11 @@ def simulate_layer(
     direction: str = "forward",
     samples: int = 2048,
     rng=None,
-    skip_empty_cycles: bool = False,
     product_exps: np.ndarray | None = None,
 ) -> LayerPerf:
     """Cycle estimate for one conv layer in FP16 mode on this tile config."""
     per_iter = expected_step_cycles(
-        layer, tile, software_precision, direction, samples, rng, skip_empty_cycles,
-        product_exps,
+        layer, tile, software_precision, direction, samples, rng, product_exps,
     )
     return _layer_perf(layer, tile, per_iter)
 
@@ -181,12 +172,11 @@ def simulate_network(
     samples: int = 1024,
     rng=None,
     name: str = "",
-    skip_empty_cycles: bool = False,
 ) -> NetworkPerf:
     """Simulate every conv layer of a network; per-layer seeds are derived
     deterministically so results are reproducible and layer-order invariant."""
     return replace(simulate_networks(layers, [tile], software_precision, direction,
-                                     samples, rng, skip_empty_cycles)[0], name=name)
+                                     samples, rng)[0], name=name)
 
 
 def simulate_networks(
@@ -196,7 +186,6 @@ def simulate_networks(
     direction: str = "forward",
     samples: int = 1024,
     rng=None,
-    skip_empty_cycles: bool = False,
 ) -> list[NetworkPerf]:
     """:func:`simulate_network` for several tiles off one sampling pass.
 
@@ -228,7 +217,7 @@ def simulate_networks(
                 rng=np.random.default_rng(seed),
             )
             rows = step_cycle_samples(exps, [tiles[i].adder_width for i in members],
-                                      software_precision, skip_empty_cycles)
+                                      software_precision)
             for i, row in zip(members, rows):
                 perfs[i].append(_layer_perf(layer, tiles[i], float(row.mean())))
     return [NetworkPerf(name="", layers=layer_perfs) for layer_perfs in perfs]

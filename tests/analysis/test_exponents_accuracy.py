@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.accuracy import emulated_conv2d, emulated_forward
 from repro.analysis.exponents import alignment_histogram
+from repro.api import EmulationSession
 from repro.fp.formats import FP16, FP32
 from repro.nn.zoo import resnet18_convs
 import repro.nn.functional as F
@@ -131,12 +132,14 @@ class TestEmulatedConv:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
         w = (rng.normal(size=(3, 2, 3, 3)) * 0.2).astype(np.float32)
-        cache = {}
-        for width in (8, 16, 28):
-            fresh = emulated_conv2d(x, w, None, 1, 1, width)
-            cached = emulated_conv2d(x, w, None, 1, 1, width, plan_cache=cache)
-            assert np.array_equal(fresh, cached)
-        assert len(cache) == 1  # one plan serves every precision
+        with EmulationSession() as session:
+            for width in (8, 16, 28):
+                fresh = emulated_conv2d(x, w, None, 1, 1, width)
+                cached = emulated_conv2d(x, w, None, 1, 1, width, session=session)
+                assert np.array_equal(fresh, cached)
+            # one weight decode and one activation decode serve every precision
+            assert len(session.weight_plan_cache) == 1
+            assert session.stats.plan_misses == 1
 
 
 class TestEmulatedForward:

@@ -160,10 +160,10 @@ class TestThreadParity:
         x = rng.normal(0, 1, (16, 3, 18, 18))   # 5184 rows > the pool gate
         w = rng.normal(0, 0.5, (4, 3, 3, 3))
         want = emulated_conv2d(x, w, None, 1, 1, 12)
-        before = thread_session.executor.tasks_dispatched
+        before = thread_session.stats.tasks_dispatched
         got = emulated_conv2d(x, w, None, 1, 1, 12, session=thread_session)
         assert np.array_equal(got, want)
-        assert thread_session.executor.tasks_dispatched > before
+        assert thread_session.stats.tasks_dispatched > before
 
     def test_non_default_format_bit_identical(self, thread_session):
         """A format other than the FP16 default splits bit-identically."""

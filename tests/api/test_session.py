@@ -248,7 +248,7 @@ class TestEmulatedInference:
         from repro.analysis.accuracy import emulated_forward
 
         model, x = self._model_and_batch()
-        want = emulated_forward(model, x, 12, FP32, {})
+        want = emulated_forward(model, x, 12, FP32)
         with EmulationSession() as s:
             got = s.forward(model, x, 12)
         assert np.array_equal(got, want)

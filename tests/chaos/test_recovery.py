@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.api import EmulationSession, RunSpec
-from repro.chaos import DeadlineExceeded, FaultPlan, install
+from repro.chaos import DeadlineExceeded, FaultPlan, RetryPolicy, install
 from repro.fleet import FleetCoordinator
 from repro.search import RungSpec, SearchSession, SearchSpace, SearchSpec
 from repro.service import ServiceServer, SweepService
@@ -63,7 +63,7 @@ class TestLocalRecoveryProperty:
             stats = engine.stats()
             assert (stats["injected"].get("store-corrupt", 0) >= 1) == faulty
             assert stats["calls"].get("store.put", 0) >= 1
-            assert session.executor.tasks_dispatched >= 1
+            assert session.stats.tasks_dispatched >= 1
         assert chaotic.points == reference_points
 
         # the corruption was never served; verify finds and quarantines it,
@@ -105,7 +105,7 @@ class TestFleetChaosProperty:
         with ServiceServer(port=0, queue_workers=2) as a, \
              ServiceServer(port=0, queue_workers=2) as b:
             coordinator = FleetCoordinator([a.url, b.url], shards=shards,
-                                           retries=2, backoff=0.01)
+                                           retry=RetryPolicy(attempts=3, backoff=0.01))
             try:
                 with install(plan) as engine:
                     merged = coordinator.run(FLEET_SPEC)

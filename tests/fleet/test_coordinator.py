@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.api import DesignSweepSpec, PrecisionPoint, RunSpec
+from repro.chaos import RetryPolicy
 from repro.fleet import FleetCoordinator, FleetError, LocalEndpoint, ShardPlan
 from repro.service import ServiceClient, ServiceError, ServiceServer, SweepService
 from repro.store import ResultStore
@@ -111,7 +112,7 @@ class TestFanOut:
         doomed = _KilledAfterAccept(doomed_backend)
         try:
             coordinator = FleetCoordinator([doomed, survivor], shards=4,
-                                           retries=2, backoff=0.01)
+                                           retry=RetryPolicy(attempts=3, backoff=0.01))
             merged = coordinator.run(SPEC)
             direct = _direct_payload(reference_service, SPEC, "sweep")
             assert json.dumps(merged, sort_keys=True) == \
@@ -125,19 +126,13 @@ class TestFanOut:
             survivor.close()
             doomed_backend.close()
 
-    def test_all_endpoints_dead_raises_without_local_fallback(self):
-        coordinator = FleetCoordinator([_NeverReachable(), _NeverReachable()],
-                                       retries=1, backoff=0.01,
-                                       local_fallback=False)
-        with pytest.raises(FleetError, match="dead"):
-            coordinator.run(SPEC)
-
     def test_all_endpoints_dead_degrades_to_local_execution(
             self, reference_service):
         """The graceful-degradation path: every endpoint down → remaining
         shards run on an in-process service, merge still byte-identical."""
         coordinator = FleetCoordinator([_NeverReachable(), _NeverReachable()],
-                                       shards=3, retries=1, backoff=0.01)
+                                       shards=3,
+                                       retry=RetryPolicy(attempts=2, backoff=0.01))
         try:
             merged = coordinator.run(SPEC)
             direct = _direct_payload(reference_service, SPEC, "sweep")
@@ -181,7 +176,7 @@ class TestFanOut:
         flaky = _Flaky(backend)
         try:
             coordinator = FleetCoordinator([flaky, steady], shards=2,
-                                           retries=2, backoff=0.01,
+                                           retry=RetryPolicy(attempts=3, backoff=0.01),
                                            breaker_cooldown=0.05)
             coordinator.run(SPEC)
             assert coordinator.stats()["endpoints"][0]["dead"] is True
@@ -212,7 +207,7 @@ class TestFanOut:
         doomed = _KilledAfterAccept(doomed_backend)
         try:
             coordinator = FleetCoordinator([doomed, survivor], shards=4,
-                                           retries=2, backoff=0.01,
+                                           retry=RetryPolicy(attempts=3, backoff=0.01),
                                            store=store)
             merged = coordinator.run(SPEC)
             assert json.dumps(merged, sort_keys=True) == \
@@ -228,7 +223,7 @@ class TestFanOut:
         rerun_store = ResultStore(tmp_path / "fleet-store")
         try:
             coordinator = FleetCoordinator([survivor], shards=4,
-                                           retries=2, backoff=0.01,
+                                           retry=RetryPolicy(attempts=3, backoff=0.01),
                                            store=rerun_store)
             merged = coordinator.run(SPEC)
             assert json.dumps(merged, sort_keys=True) == \
@@ -243,7 +238,8 @@ class TestFanOut:
     def test_deterministic_job_failure_fails_fast(self):
         a, b = SweepService(), SweepService()
         try:
-            coordinator = FleetCoordinator([a, b], retries=3, backoff=0.01)
+            coordinator = FleetCoordinator(
+                [a, b], retry=RetryPolicy(attempts=4, backoff=0.01))
             # parses fine, fails in every worker: unknown operand source
             bad = RunSpec(name="bad", sources=("laplace", "no-such-source"),
                           points=(PrecisionPoint(12), PrecisionPoint(16)),

@@ -119,16 +119,6 @@ class TestVectorizedCycleCounts:
         counts = mc_cycle_counts(shifts, masked, sp=19, adder_width=28, software_precision=28)
         assert counts.tolist() == [1]
 
-    def test_skip_empty_cycles_ablation_never_slower(self):
-        rng = np.random.default_rng(1)
-        exps = rng.integers(-28, 31, size=(500, 8))
-        shifts = exps.max(axis=1, keepdims=True) - exps
-        masked = shifts >= 28
-        seq = mc_cycle_counts(shifts, masked, 3, 12, 28, skip_empty_cycles=False)
-        skip = mc_cycle_counts(shifts, masked, 3, 12, 28, skip_empty_cycles=True)
-        assert np.all(skip <= seq)
-        assert np.all(skip >= 1)
-
     def test_serve_cycles_vectorized_matches_scalar(self):
         for s in range(0, 40):
             for sp in (3, 5, 7, 19):

@@ -2,17 +2,18 @@
 
 import gc
 import re
+from dataclasses import dataclass, field
 
 import pytest
 
 from repro.obs.metrics import (
     CONTENT_TYPE,
-    Counter,
     Family,
-    Gauge,
     Histogram,
     MetricsRegistry,
     REGISTRY,
+    Stats,
+    counter,
 )
 
 # Prometheus text format 0.0.4 sample-line grammar (simplified but strict
@@ -33,25 +34,37 @@ def assert_valid_exposition(text: str) -> None:
         assert _SAMPLE.match(line), f"bad sample line: {line!r}"
 
 
-class _Holder:
-    """A stats-bearing object the registry can weakref."""
+@dataclass
+class _Stats(Stats):
+    """A stats record covering every rendering convention."""
 
-    def __init__(self, payload):
-        self.payload = payload
+    hits: int = counter()
+    depth: int = 7
+    calls: dict = counter(default_factory=dict)
+    rungs_total: int = counter()
+    backend: str = "thread"
+    armed: bool = True
+    last_seconds: float | None = None
+    events: list = field(default_factory=list)
+
+
+@dataclass
+class _Gauge(Stats):
+    v: int = 1
+
+
+class _Holder:
+    """A stats-bearing owner the registry can weakref."""
+
+    def __init__(self, stats):
+        self.stats = stats
+
+
+def _register(reg, holder, prefix="t", **kwargs):
+    reg.register_object(holder, lambda h: h.stats, prefix=prefix, **kwargs)
 
 
 class TestInstruments:
-    def test_counter_and_gauge(self):
-        c = Counter()
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        g = Gauge()
-        g.set(7)
-        g.inc()
-        g.dec(3)
-        assert g.value == 5.0
-
     def test_histogram_buckets_are_cumulative(self):
         h = Histogram((0.1, 1.0, 10.0))
         for v in (0.05, 0.5, 0.5, 5.0, 50.0):
@@ -73,33 +86,51 @@ class TestInstruments:
 class TestRegistryConventions:
     def test_counters_get_total_suffix_and_type(self):
         reg = MetricsRegistry()
-        holder = _Holder({"hits": 3, "depth": 7})
-        reg.register_object(holder, lambda h: h.payload, prefix="t",
-                            labels={"instance": "t-1"}, counters={"hits"})
+        holder = _Holder(_Stats(hits=3, rungs_total=2))
+        _register(reg, holder, labels={"instance": "t-1"})
         text = reg.render()
         assert '# TYPE t_hits_total counter' in text
         assert 't_hits_total{instance="t-1"} 3' in text
         assert '# TYPE t_depth gauge' in text
         assert 't_depth{instance="t-1"} 7' in text
+        # a counter already named *_total is not suffixed twice
+        assert 't_rungs_total{instance="t-1"} 2' in text
+        assert "rungs_total_total" not in text
         assert_valid_exposition(text)
 
     def test_dict_values_expand_to_key_labels(self):
         reg = MetricsRegistry()
-        holder = _Holder({"calls": {"store.put": 4, "fleet.shard": 1}})
-        reg.register_object(holder, lambda h: h.payload, prefix="t",
-                            counters={"calls"})
+        holder = _Holder(_Stats(calls={"store.put": 4, "fleet.shard": 1}))
+        _register(reg, holder)
         text = reg.render()
+        assert '# TYPE t_calls_total counter' in text
         assert 't_calls_total{key="store.put"} 4' in text
         assert 't_calls_total{key="fleet.shard"} 1' in text
 
     def test_strings_fold_into_info_gauge(self):
         reg = MetricsRegistry()
-        holder = _Holder({"backend": "thread", "workers": 2})
-        reg.register_object(holder, lambda h: h.payload, prefix="t",
-                            labels={"instance": "t-1"})
+        holder = _Holder(_Stats())
+        _register(reg, holder, labels={"instance": "t-1"})
         text = reg.render()
         assert 't_info{backend="thread",instance="t-1"} 1' in text
-        assert 't_workers{instance="t-1"} 2' in text
+        assert "t_backend" not in text
+
+    def test_none_and_list_fields_are_not_rendered(self):
+        reg = MetricsRegistry()
+        holder = _Holder(_Stats(events=[{"a": 1}]))
+        _register(reg, holder)
+        text = reg.render()
+        assert "t_last_seconds" not in text
+        assert "t_events" not in text
+        holder.stats.last_seconds = 0.5
+        assert "t_last_seconds 0.5" in reg.render()
+
+    def test_as_dict_is_the_json_view_of_the_same_record(self):
+        stats = _Stats(hits=2, calls={"a": 1})
+        assert stats.as_dict() == {
+            "hits": 2, "depth": 7, "calls": {"a": 1}, "rungs_total": 0,
+            "backend": "thread", "armed": True, "last_seconds": None,
+            "events": []}
 
     def test_prebuilt_family_lists_pass_through(self):
         reg = MetricsRegistry()
@@ -117,12 +148,10 @@ class TestRegistryConventions:
 
     def test_same_family_from_two_objects_merges(self):
         reg = MetricsRegistry()
-        h1 = _Holder({"hits": 1})
-        h2 = _Holder({"hits": 2})
-        reg.register_object(h1, lambda h: h.payload, prefix="t",
-                            labels={"instance": "a"}, counters={"hits"})
-        reg.register_object(h2, lambda h: h.payload, prefix="t",
-                            labels={"instance": "b"}, counters={"hits"})
+        h1 = _Holder(_Stats(hits=1))
+        h2 = _Holder(_Stats(hits=2))
+        _register(reg, h1, labels={"instance": "a"})
+        _register(reg, h2, labels={"instance": "b"})
         text = reg.render()
         assert text.count("# TYPE t_hits_total counter") == 1
         assert 't_hits_total{instance="a"} 1' in text
@@ -130,8 +159,8 @@ class TestRegistryConventions:
 
     def test_dead_objects_are_pruned_not_scraped(self):
         reg = MetricsRegistry()
-        holder = _Holder({"hits": 1})
-        reg.register_object(holder, lambda h: h.payload, prefix="t")
+        holder = _Holder(_Stats(hits=1))
+        _register(reg, holder)
         assert "t_hits" in reg.render()
         del holder
         gc.collect()
@@ -141,21 +170,20 @@ class TestRegistryConventions:
     def test_broken_adapter_does_not_poison_the_scrape(self):
         reg = MetricsRegistry()
         bad = _Holder(None)
-        good = _Holder({"ok": 1})
+        good = _Holder(_Gauge(v=1))
 
         def explode(h):
             raise RuntimeError("adapter bug")
 
         reg.register_object(bad, explode, prefix="bad")
-        reg.register_object(good, lambda h: h.payload, prefix="good")
+        _register(reg, good, prefix="good")
         text = reg.render()
-        assert "good_ok 1" in text
+        assert "good_v 1" in text
 
     def test_label_escaping(self):
         reg = MetricsRegistry()
-        holder = _Holder({"v": 1})
-        reg.register_object(holder, lambda h: h.payload, prefix="t",
-                            labels={"path": 'a"b\\c\nd'})
+        holder = _Holder(_Gauge(v=1))
+        _register(reg, holder, labels={"path": 'a"b\\c\nd'})
         text = reg.render()
         assert 't_v{path="a\\"b\\\\c\\nd"} 1' in text
         assert_valid_exposition(text)
@@ -168,9 +196,11 @@ class TestRegistryConventions:
 
     def test_bool_values_render_as_ints(self):
         reg = MetricsRegistry()
-        holder = _Holder({"armed": True})
-        reg.register_object(holder, lambda h: h.payload, prefix="t")
+        holder = _Holder(_Stats())
+        _register(reg, holder)
         assert "t_armed 1" in reg.render()
+        holder.stats.armed = False
+        assert "t_armed 0" in reg.render()
 
 
 class TestGlobalRegistryIntegration:
@@ -201,3 +231,63 @@ class TestGlobalRegistryIntegration:
         text = REGISTRY.render()
         assert "repro_store_hits_total" in text
         assert "repro_store_puts_total" in text
+
+
+def _instance_of(obj) -> str:
+    """The ``instance`` label ``obj`` registered under in the global registry."""
+    for entry in REGISTRY._adapters:
+        if entry["ref"]() is obj and "instance" in entry["labels"]:
+            return entry["labels"]["instance"]
+    raise LookupError(f"{type(obj).__name__} is not registered")
+
+
+def _scraped(text: str, name: str, obj) -> float:
+    """The value of ``name`` for ``obj``'s instance in an exposition."""
+    prefix = f'{name}{{instance="{_instance_of(obj)}"}} '
+    values = [line[len(prefix):] for line in text.splitlines()
+              if line.startswith(prefix)]
+    assert len(values) == 1, (prefix, values)
+    return float(values[0])
+
+
+class TestStatsSurfacesAgree:
+    def test_stats_objects_service_stats_and_scrape_report_one_count(self, tmp_path):
+        """A thread-backed sweep through an in-process service: the
+        ``.stats`` records, ``service.stats()`` and a registry scrape read
+        the same counters, so they report the same numbers."""
+        from repro.api import RunSpec
+        from repro.api.session import MIN_PARALLEL_ROWS
+        from repro.service import SweepService
+
+        spec = RunSpec.grid(name="surfaces", precisions=(12, 16),
+                            accumulators=("fp32",), sources=("laplace",),
+                            batch=2 * MIN_PARALLEL_ROWS, n=16, seed=3)
+        # an accumulator-only variant re-packs the same operands (plan hits)
+        twin = RunSpec.grid(name="surfaces-fp16", precisions=(12, 16),
+                            accumulators=("fp16",), sources=("laplace",),
+                            batch=2 * MIN_PARALLEL_ROWS, n=16, seed=3)
+        service = SweepService(store=tmp_path / "store", backend="thread",
+                               workers=2)
+        try:
+            for s in (spec, twin):
+                job, _ = service.submit("sweep", s.to_dict())
+                assert job.done.wait(120) and job.status == "done", job.error
+            stats = service.stats()
+            text = REGISTRY.render()
+        finally:
+            service.close()
+        emulation, store = service.emulation.stats, service.store.stats
+        assert emulation.tasks_dispatched >= 2  # the pool engaged
+        assert emulation.plan_hits >= 2
+        assert store.puts >= 1
+        assert (emulation.tasks_dispatched
+                == stats["emulation"]["tasks_dispatched"]
+                == _scraped(text, "repro_session_tasks_dispatched_total",
+                            service.emulation))
+        assert (emulation.plan_hits == stats["emulation"]["plan_hits"]
+                == _scraped(text, "repro_session_plan_hits_total",
+                            service.emulation))
+        assert (store.puts == stats["store"]["puts"]
+                == _scraped(text, "repro_store_puts_total", service.store))
+        assert (stats["timing"]["jobs_completed"] == 2
+                == _scraped(text, "repro_service_jobs_completed_total", service))

@@ -114,7 +114,7 @@ def product_exponent_batches(draw):
     return exps
 
 
-def golden_step_cycles(exps, width, software_precision, skip_empty_cycles):
+def golden_step_cycles(exps, width, software_precision):
     """Per-sample lockstep cost from the scalar EHU's serve schedule."""
     if width >= software_precision:
         return [1] * exps.shape[0]
@@ -124,10 +124,7 @@ def golden_step_cycles(exps, width, software_precision, skip_empty_cycles):
         per_ipu = []
         for lanes in sample:
             schedule = ehu.serve_schedule(ehu.plan(lanes.tolist(), [0] * len(lanes)), width - 9)
-            if skip_empty_cycles:
-                per_ipu.append(max(sum(1 for cycle in schedule if cycle), 1))
-            else:
-                per_ipu.append(len(schedule))
+            per_ipu.append(len(schedule))
         costs.append(max(per_ipu))
     return costs
 
@@ -136,17 +133,15 @@ class TestStepCyclesMatchGoldenEHU:
     @settings(max_examples=150, deadline=None)
     @given(exps=product_exponent_batches(),
            widths=st.lists(st.integers(10, 38), min_size=1, max_size=4),
-           software_precision=st.sampled_from([16, 26, 28]),
-           skip_empty_cycles=st.booleans())
+           software_precision=st.sampled_from([16, 26, 28]))
     def test_every_width_matches_the_scalar_schedule(
-            self, exps, widths, software_precision, skip_empty_cycles):
-        rows = step_cycle_samples(exps, widths, software_precision, skip_empty_cycles)
+            self, exps, widths, software_precision):
+        rows = step_cycle_samples(exps, widths, software_precision)
         assert rows.shape == (len(widths), exps.shape[0])
         for k, width in enumerate(widths):
             assert rows[k].tolist() == golden_step_cycles(
-                exps, width, software_precision, skip_empty_cycles)
-        single = [step_cycle_samples(exps, w, software_precision, skip_empty_cycles)
-                  for w in widths]
+                exps, width, software_precision)
+        single = [step_cycle_samples(exps, w, software_precision) for w in widths]
         assert np.array_equal(rows, np.stack(single))
 
 
@@ -229,12 +224,10 @@ class TestBatchedNetworkSimulation:
     WIDTHS = (12, 13, 16, 20, 24, 27, 28, 32, 38)
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
-    @pytest.mark.parametrize("skip_empty_cycles", [False, True])
-    def test_equals_one_simulation_per_tile(self, direction, skip_empty_cycles):
+    def test_equals_one_simulation_per_tile(self, direction):
         tiles = [SMALL_TILE.with_precision(w, c)
                  for c in (1, 4, None) for w in self.WIDTHS]
-        kwargs = dict(direction=direction, samples=24, rng=9,
-                      skip_empty_cycles=skip_empty_cycles)
+        kwargs = dict(direction=direction, samples=24, rng=9)
         batched = simulate_networks(self.LAYERS, tiles, 28, **kwargs)
         assert batched == [simulate_network(self.LAYERS, t, 28, **kwargs) for t in tiles]
 
